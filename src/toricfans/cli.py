@@ -22,7 +22,6 @@ from .diagram import (
     NotTight,
     NotTightSubdiagram,
     Subdiagram,
-    _object_image_cone,
     colimit,
     extend_diagram_functional,
     validate_tight,
@@ -137,8 +136,7 @@ def cmd_extend(doc: Document, base_dir: Path) -> tuple[Document, int]:
         raise DocumentError(str(exc)) from None
     phi = extend_diagram_functional(d, sub, chi, mode)
 
-    colim = colimit(d)
-    images = {i: _object_image_cone(d, colim, i) for i in d.objects}
+    images = d.analysis.object_images
     member_rays = set()
     for i in members:
         member_rays.update(images[i].rays)
@@ -234,34 +232,35 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.input:
-            in_path = Path(args.input)
-            text = in_path.read_text("utf-8")
-            base_dir = in_path.resolve().parent
+        try:
+            if args.input:
+                in_path = Path(args.input)
+                text = in_path.read_text("utf-8")
+                base_dir = in_path.resolve().parent
+            else:
+                text = sys.stdin.read()
+                base_dir = Path.cwd()
+            doc = documents.loads(text)
+            if args.command == "validate":
+                out, code = cmd_validate(doc)
+            elif args.command == "colimit":
+                out, code = cmd_colimit(doc)
+            elif args.command == "extend":
+                out, code = cmd_extend(doc, base_dir)
+            elif args.command == "glue":
+                out, code = cmd_glue(doc)
+            else:
+                out, code = cmd_check(doc, args.which)
+        except _DOMAIN_ERRORS as exc:
+            out, code = _error_report(exc), 1
+        text = documents.dumps(out)
+        if args.output:
+            Path(args.output).write_text(text, "utf-8")
         else:
-            text = sys.stdin.read()
-            base_dir = Path.cwd()
-        doc = documents.loads(text)
-        if args.command == "validate":
-            out, code = cmd_validate(doc)
-        elif args.command == "colimit":
-            out, code = cmd_colimit(doc)
-        elif args.command == "extend":
-            out, code = cmd_extend(doc, base_dir)
-        elif args.command == "glue":
-            out, code = cmd_glue(doc)
-        else:
-            out, code = cmd_check(doc, args.which)
+            sys.stdout.write(text)
     except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        out, code = _error_report(exc), 1
-    text = documents.dumps(out)
-    if args.output:
-        Path(args.output).write_text(text, "utf-8")
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -12,11 +12,21 @@ completions generate, and one relation block per maximal pair glues along
 the pair's unique maximal common face.  This is the same colimit as the
 full per-morphism coequalizer (any compatible cocone factors through it the
 same way) and keeps the Smith reductions small.
+
+Every operation reads one DiagramAnalysis, built in a single pass on first
+use and cached on the diagram as ``d.analysis``: the sorted edges and the
+topological order (or the cycle flag), the path composites and T3
+conflicts, the below-sets and maximal ids, the composite image cones, the
+unique maximal common face of each pair (T4), the violations, and, on
+first use, the colimit and the objects' image cones in it.  The cache is
+never refreshed, so a diagram must not be mutated after it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .cone import (
@@ -105,6 +115,10 @@ class TightDiagram:
             return NotImplemented
         return self.objects == other.objects and set(self.morphisms) == set(other.morphisms)
 
+    @cached_property
+    def analysis(self) -> DiagramAnalysis:
+        return _analyse(self)
+
 
 @dataclass(frozen=True)
 class Subdiagram:
@@ -124,36 +138,129 @@ class ColimitResult:
     embeddings: Mapping[str, IntMatrix]  # id -> (colimit_rank x gp-rank of object)
 
 
-def _composites(d: TightDiagram):
-    """All path composites comp[x][y] (matrix of the unique-up-to-T3 path
-    x -> y), plus T3 conflict reports, plus a cycle flag.
+@dataclass(frozen=True)
+class DiagramAnalysis:
+    """What one diagram's operations need to know about it; derived once, never modified.
 
-    Edge-local dynamic programming over reverse topological order; agreeing
-    on every one-edge extension is the same as agreeing on all paths.
+    On a directed morphism cycle only ``edges``, ``violations`` and
+    ``cyclic`` are filled in; everything else is empty.  ``images`` holds
+    None where a composite degenerates, which only happens when T1 fails.
+    ``colimit`` and ``object_images`` are computed on first use, handed
+    read-only to every caller, and raise NotTight unless the diagram is tight.
     """
-    edges = sorted(set(d.morphisms), key=lambda e: (e.source_id, e.target_id, e.matrix.entries))
-    succ = {i: [] for i in d.objects}
-    indeg = {i: 0 for i in d.objects}
+
+    objects: Mapping[str, ToricMonoid]
+    edges: tuple[DiagramMorphism, ...]  # distinct, by (source, target, entries)
+    cyclic: bool
+    order: tuple[str, ...]  # topological, sources first
+    composites: Mapping[str, Mapping[str, IntMatrix]]  # x -> y -> matrix of the path x -> y
+    conflicts: tuple[str, ...]  # T3 reports for disagreeing parallel composites
+    below: Mapping[str, frozenset]  # y -> every x with a path x -> y, y included
+    maximal_ids: tuple[str, ...]  # sorted ids with nothing above them
+    images: Mapping[tuple[str, str], Cone | None]  # (x, y) -> x's cone inside y
+    meets: Mapping[tuple[str, str], str]  # (a, b), a < b -> unique maximal common face
+    violations: tuple[str, ...]
+
+    def require_tight(self) -> None:
+        if self.violations:
+            raise NotTight(self.violations)
+
+    def gp_matrix(self, src: str, tgt: str) -> IntMatrix:
+        """The composite src -> tgt on gp bases: gp(src) columns expressed in
+        gp(tgt) coordinates."""
+        return lattice_coordinates(
+            gp(self.objects[tgt]), self.composites[src][tgt] @ gp(self.objects[src])
+        )
+
+    @cached_property
+    def colimit(self) -> ColimitResult:
+        self.require_tight()
+        widths = {m: gp(self.objects[m]).cols for m in self.maximal_ids}
+        offsets = {}
+        total = 0
+        for m in self.maximal_ids:
+            offsets[m] = total
+            total += widths[m]
+
+        relation_cols = []
+        for i, m1 in enumerate(self.maximal_ids):
+            for m2 in self.maximal_ids[i + 1 :]:
+                z = self.meets[m1, m2]
+                x1 = self.gp_matrix(z, m1)
+                x2 = self.gp_matrix(z, m2)
+                for j in range(x1.cols):
+                    col = [0] * total
+                    col[offsets[m1] : offsets[m1] + widths[m1]] = x1.col(j)
+                    col[offsets[m2] : offsets[m2] + widths[m2]] = [-v for v in x2.col(j)]
+                    relation_cols.append(tuple(col))
+
+        relations = IntMatrix.from_cols(relation_cols, rows=total)
+        phi = kernel_basis(relations.transpose()).transpose()
+        L = phi.rows
+
+        embeddings = {
+            m: IntMatrix.from_cols([phi.col(offsets[m] + j) for j in range(widths[m])], rows=L)
+            for m in self.maximal_ids
+        }
+        for i in sorted(self.objects):
+            if i in embeddings:
+                continue
+            carrier = min(m for m in self.maximal_ids if m in self.composites[i])
+            embeddings[i] = embeddings[carrier] @ self.gp_matrix(i, carrier)
+
+        rays = [r for m in self.maximal_ids for r in _embedded_rays(self.objects[m], embeddings[m])]
+        return ColimitResult(L, cone_from_rays(L, rays), MappingProxyType(embeddings))
+
+    @cached_property
+    def object_images(self) -> Mapping[str, Cone]:
+        """Each object's cone inside the colimit lattice."""
+        c = self.colimit
+        return MappingProxyType({
+            i: cone_from_rays(c.colimit_rank, _embedded_rays(obj, c.embeddings[i]))
+            for i, obj in self.objects.items()
+        })
+
+
+def _analyse(d: TightDiagram) -> DiagramAnalysis:
+    """The one pass behind ``TightDiagram.analysis``.
+
+    Composites come from edge-local dynamic programming over reverse
+    topological order; agreeing on every one-edge extension is the same as
+    agreeing on all paths.  A face of an object counts as present (T2) when
+    some object's composite image is that face; the object itself stands
+    for its improper face.
+    """
+    objects = d.objects
+    edges = tuple(
+        sorted(set(d.morphisms), key=lambda e: (e.source_id, e.target_id, e.matrix.entries))
+    )
+    violations = []
+    for e in edges:
+        f = FaceMorphism(objects[e.source_id], objects[e.target_id], e.matrix)
+        for problem in verify_face_morphism(f):
+            violations.append(f"T1: morphism {e.source_id!r}->{e.target_id!r}: {problem}")
+
+    succ = {i: [] for i in objects}
+    pending = {i: 0 for i in objects}
     for e in edges:
         succ[e.source_id].append(e)
-        indeg[e.target_id] += 1
-    order = [i for i in sorted(d.objects) if indeg[i] == 0]
-    seen = list(order)
-    pending = dict(indeg)
+        pending[e.target_id] += 1
+    order = [i for i in sorted(objects) if pending[i] == 0]
     k = 0
-    while k < len(seen):
-        for e in succ[seen[k]]:
+    while k < len(order):
+        for e in succ[order[k]]:
             pending[e.target_id] -= 1
             if pending[e.target_id] == 0:
-                seen.append(e.target_id)
+                order.append(e.target_id)
         k += 1
-    if len(seen) < len(d.objects):
-        return {}, (), True
+    if len(order) < len(objects):
+        violations.append("T3: the diagram contains a directed morphism cycle")
+        return DiagramAnalysis(objects, edges, True, (), {}, (), {}, (), {}, {}, tuple(violations))
 
-    comp = {i: {} for i in d.objects}
-    conflicts = []
-    for x in reversed(seen):
-        comp[x][x] = IntMatrix.identity(d.objects[x].lattice_rank)
+    comp = {i: {} for i in objects}
+    conflicts = set()
+    for x in reversed(order):
+        comp[x][x] = IntMatrix.identity(objects[x].lattice_rank)
         for e in succ[x]:
             for tgt, tail in sorted(comp[e.target_id].items()):
                 candidate = tail @ e.matrix
@@ -161,93 +268,57 @@ def _composites(d: TightDiagram):
                 if known is None:
                     comp[x][tgt] = candidate
                 elif known != candidate:
-                    conflicts.append(f"T3: parallel composites {x!r}->{tgt!r} disagree")
-    return comp, tuple(sorted(set(conflicts))), False
-
-
-def _image_in(d: TightDiagram, comp, src: str, tgt: str) -> Cone | None:
-    """Image of src's cone inside tgt along the composite, or None when the
-    composite degenerates (only possible if T1 already failed)."""
-    matrix = comp[src][tgt]
-    try:
-        return cone_from_rays(
-            d.objects[tgt].lattice_rank,
-            [matrix.apply(r) for r in d.objects[src].cone.rays],
-        )
-    except NotPointed:
-        return None
-
-
-def validate_tight(d: TightDiagram) -> tuple[str, ...]:
-    """All violations of the four tightness conditions (empty tuple = tight).
-
-    A face of an object counts as present when some object's composite image
-    is that face; the object itself stands for its improper face.
-    """
-    violations = []
-    for e in sorted(set(d.morphisms), key=lambda e: (e.source_id, e.target_id, e.matrix.entries)):
-        f = FaceMorphism(d.objects[e.source_id], d.objects[e.target_id], e.matrix)
-        for problem in verify_face_morphism(f):
-            violations.append(f"T1: morphism {e.source_id!r}->{e.target_id!r}: {problem}")
-
-    comp, conflicts, cyclic = _composites(d)
-    if cyclic:
-        violations.append("T3: the diagram contains a directed morphism cycle")
-        return tuple(violations)
+                    conflicts.add(f"T3: parallel composites {x!r}->{tgt!r} disagree")
+    conflicts = tuple(sorted(conflicts))
     violations.extend(conflicts)
 
-    for i in sorted(d.objects):
-        realized = set()
-        for j in sorted(d.objects):
-            if i in comp[j]:
-                img = _image_in(d, comp, j, i)
-                if img is not None:
-                    realized.add(img)
-        for f in faces(d.objects[i].cone):
-            if f != d.objects[i].cone and f not in realized:
+    below = {i: set() for i in objects}
+    images = {}
+    for x in sorted(objects):
+        for p, matrix in comp[x].items():
+            below[p].add(x)
+            try:
+                images[x, p] = cone_from_rays(
+                    objects[p].lattice_rank, [matrix.apply(r) for r in objects[x].cone.rays]
+                )
+            except NotPointed:
+                images[x, p] = None
+    below = {i: frozenset(s) for i, s in below.items()}
+
+    ids = sorted(objects)
+    for i in ids:
+        realized = {images[j, i] for j in below[i]}
+        for f in faces(objects[i].cone):
+            if f != objects[i].cone and f not in realized:
                 violations.append(f"T2: object {i!r} is missing its face with rays {f.rays}")
 
-    below = {i: {j for j in d.objects if i in comp[j]} for i in d.objects}
-    ids = sorted(d.objects)
+    meets = {}
     for a_pos, a in enumerate(ids):
         for b in ids[a_pos + 1 :]:
-            common = below[a] & below[b]
-            maximal = [
-                k for k in common
-                if not any(other != k and other in comp[k] for other in common)
-            ]
-            if len(maximal) != 1:
+            maximal = _maximal_among(below[a] & below[b], comp)
+            if len(maximal) == 1:
+                meets[a, b] = maximal[0]
+            else:
                 violations.append(
                     f"T4: objects {a!r}, {b!r} have {len(maximal)} maximal common faces"
                 )
-    return tuple(violations)
+
+    maximal_ids = tuple(i for i in ids if len(comp[i]) == 1)
+    return DiagramAnalysis(
+        objects, edges, False, tuple(order), comp, conflicts, below, maximal_ids, images, meets,
+        tuple(violations),
+    )
 
 
-def _require_tight(d: TightDiagram):
-    violations = validate_tight(d)
-    if violations:
-        raise NotTight(violations)
+def _maximal_among(ids, comp) -> list[str]:
+    """The ids with no other one of them above them."""
+    return [k for k in ids if not any(other != k and other in comp[k] for other in ids)]
 
 
-def _poset(d: TightDiagram, comp):
-    below = {i: {j for j in d.objects if i in comp[j]} for i in d.objects}
-    maximal_ids = sorted(i for i in d.objects if all(j == i for j in comp[i]))
-    return below, maximal_ids
-
-
-def _max_common_face(comp, below, a: str, b: str) -> str:
-    common = below[a] & below[b]
-    maximal = [k for k in common if not any(other != k and other in comp[k] for other in common)]
-    assert len(maximal) == 1, f"no unique maximal common face for {a!r}, {b!r}"
-    return maximal[0]
-
-
-def _gp_matrix(d: TightDiagram, comp, src: str, tgt: str) -> IntMatrix:
-    """The composite src -> tgt on gp bases: gp(src) columns expressed in
-    gp(tgt) coordinates."""
-    b_src = gp(d.objects[src])
-    b_tgt = gp(d.objects[tgt])
-    return lattice_coordinates(b_tgt, comp[src][tgt] @ b_src)
+def validate_tight(d: TightDiagram) -> tuple[str, ...]:
+    """All violations of the four tightness conditions (empty tuple = tight):
+    T1 by sorted edge, then on a morphism cycle only that, else T3, T2, T4."""
+    return d.analysis.violations
 
 
 def colimit(d: TightDiagram) -> ColimitResult:
@@ -260,57 +331,7 @@ def colimit(d: TightDiagram) -> ColimitResult:
     object embeds through any maximal object above it (the relations make
     the choice immaterial).
     """
-    _require_tight(d)
-    comp, _, _ = _composites(d)
-    below, maximal_ids = _poset(d, comp)
-
-    widths = {m: gp(d.objects[m]).cols for m in maximal_ids}
-    offsets = {}
-    total = 0
-    for m in maximal_ids:
-        offsets[m] = total
-        total += widths[m]
-
-    def slot(m: str, col: Sequence[int]) -> list[int]:
-        out = [0] * total
-        out[offsets[m] : offsets[m] + widths[m]] = list(col)
-        return out
-
-    relation_cols = []
-    for i, m1 in enumerate(maximal_ids):
-        for m2 in maximal_ids[i + 1 :]:
-            z = _max_common_face(comp, below, m1, m2)
-            x1 = _gp_matrix(d, comp, z, m1)
-            x2 = _gp_matrix(d, comp, z, m2)
-            for j in range(x1.cols):
-                left = slot(m1, x1.col(j))
-                right = slot(m2, x2.col(j))
-                relation_cols.append(tuple(a - b for a, b in zip(left, right)))
-
-    relations = IntMatrix.from_cols(relation_cols, rows=total)
-    phi = kernel_basis(relations.transpose()).transpose()
-    L = phi.rows
-
-    embeddings = {}
-    for m in maximal_ids:
-        embeddings[m] = IntMatrix.from_cols(
-            [phi.col(offsets[m] + j) for j in range(widths[m])], rows=L
-        )
-    for i in sorted(d.objects):
-        if i in embeddings:
-            continue
-        carrier = min(m for m in maximal_ids if m in comp[i])
-        embeddings[i] = embeddings[carrier] @ _gp_matrix(d, comp, i, carrier)
-
-    rays = []
-    for m in maximal_ids:
-        basis = gp(d.objects[m])
-        cone_m = d.objects[m].cone
-        if cone_m.rays:
-            coords = lattice_coordinates(basis, IntMatrix.from_cols(cone_m.rays, rows=basis.rows))
-            for j in range(coords.cols):
-                rays.append(embeddings[m].apply(coords.col(j)))
-    return ColimitResult(L, cone_from_rays(L, rays), embeddings)
+    return d.analysis.colimit
 
 
 def verify_face_embeddings(d: TightDiagram, c: ColimitResult) -> tuple[str, ...]:
@@ -323,7 +344,7 @@ def verify_face_embeddings(d: TightDiagram, c: ColimitResult) -> tuple[str, ...]
         if rank(emb) != emb.cols:
             violations.append(f"embedding of {i!r} is not injective")
             continue
-        img = _object_image_cone(d, c, i)
+        img = cone_from_rays(c.colimit_rank, _embedded_rays(d.objects[i], emb))
         if img not in faces(c.cone):
             violations.append(f"image of {i!r} is not a face of the colimit cone")
             continue
@@ -331,22 +352,21 @@ def verify_face_embeddings(d: TightDiagram, c: ColimitResult) -> tuple[str, ...]
     return tuple(violations)
 
 
-def _object_image_cone(d: TightDiagram, c: ColimitResult, i: str) -> Cone:
-    obj = d.objects[i]
-    basis = gp(obj)
+def _embedded_rays(obj: ToricMonoid, emb: IntMatrix) -> list[tuple[int, ...]]:
+    """The object's extreme rays carried into the colimit by its embedding."""
     if not obj.cone.rays:
-        return cone_from_rays(c.colimit_rank, [])
+        return []
+    basis = gp(obj)
     coords = lattice_coordinates(basis, IntMatrix.from_cols(obj.cone.rays, rows=basis.rows))
-    return cone_from_rays(
-        c.colimit_rank, [c.embeddings[i].apply(coords.col(j)) for j in range(coords.cols)]
-    )
+    return [emb.apply(coords.col(j)) for j in range(coords.cols)]
 
 
 def induced_subdiagram(sub: Subdiagram) -> TightDiagram:
     """Members with every parent composite between distinct members."""
-    comp, _, cyclic = _composites(sub.parent)
-    if cyclic:
+    analysis = sub.parent.analysis
+    if analysis.cyclic:
         raise NotTightSubdiagram("parent has a morphism cycle")
+    comp = analysis.composites
     members = sorted(sub.member_ids)
     edges = []
     for x in members:
@@ -360,30 +380,26 @@ def is_join_closed(sub: Subdiagram):
     """Whether the member set is closed under joins taken inside any parent
     object above a member pair.
 
-    Returns (True, None) or (False, (a, b, join_object_id)).  Raises
-    NotTightSubdiagram when members do not form a tight diagram on their own.
+    Returns (True, None) or (False, (a, b, join_object_id)).  Raises NotTight
+    when the parent is not tight and NotTightSubdiagram when members do not
+    form a tight diagram on their own.
     """
+    d = sub.parent
+    analysis = d.analysis
+    analysis.require_tight()
     if validate_tight(induced_subdiagram(sub)):
         raise NotTightSubdiagram("members do not form a tight diagram")
-    d = sub.parent
-    comp, _, _ = _composites(d)
+    comp, images = analysis.composites, analysis.images
     members = sorted(sub.member_ids)
-    images = {}
-    for x in d.objects:
-        for p in comp[x]:
-            images[x, p] = _image_in(d, comp, x, p)
     for i, a in enumerate(members):
         for b in members[i:]:
-            parents = [p for p in sorted(d.objects) if p in comp[a] and p in comp[b]]
-            for p in parents:
+            for p in sorted(comp[a].keys() & comp[b].keys()):
                 joint = set(images[a, p].rays) | set(images[b, p].rays)
                 candidates = [
                     f for f in faces(d.objects[p].cone) if joint <= set(f.rays)
                 ]
                 join_face = min(candidates, key=lambda f: (len(f.rays), f.rays))
-                realizers = sorted(
-                    x for x in d.objects if p in comp[x] and images[x, p] == join_face
-                )
+                realizers = sorted(x for x in analysis.below[p] if images[x, p] == join_face)
                 if not any(x in sub.member_ids for x in realizers):
                     return False, (a, b, realizers[0])
     return True, None
@@ -413,7 +429,8 @@ def extend_diagram_functional(
         raise ValueError(f"unknown mode {mode!r}")
     if sub.parent is not d:
         raise ValueError("subdiagram does not belong to this diagram")
-    _require_tight(d)
+    analysis = d.analysis
+    analysis.require_tight()
     closed, witness = is_join_closed(sub)
     if not closed:
         raise NotJoinClosed(witness)
@@ -428,8 +445,7 @@ def extend_diagram_functional(
             raise IncompatibleFamily(f"coefficients for {i!r} have the wrong length")
         values[i] = coeffs
 
-    comp, _, _ = _composites(d)
-    below, _ = _poset(d, comp)
+    comp, below = analysis.composites, analysis.below
 
     def restrict(vals: Sequence[int], src: str, tgt: str) -> tuple[int, ...]:
         # pull a functional on tgt back along the composite src -> tgt
@@ -469,12 +485,9 @@ def extend_diagram_functional(
         if uppers:
             values[b] = restrict(values[uppers[0]], b, uppers[0])
         else:
-            processed_faces = [x for x in current if b in comp[x]]
+            processed_faces = below[b] & current
             if processed_faces:
-                maximal = [
-                    x for x in processed_faces
-                    if not any(other != x and other in comp[x] for other in processed_faces)
-                ]
+                maximal = _maximal_among(processed_faces, comp)
                 assert len(maximal) == 1, f"no unique maximum processed face of {b!r}"
                 dm = maximal[0]
                 morphism = FaceMorphism(d.objects[dm], d.objects[b], comp[dm][b])
@@ -496,11 +509,10 @@ def extend_diagram_functional(
                 values[x] = restrict(values[b], x, b)
                 current.add(x)
 
-    colim = colimit(d)
-    _, maximal_ids = _poset(d, comp)
+    colim = analysis.colimit
     stacked = None
     target_values: list[int] = []
-    for m in maximal_ids:
+    for m in analysis.maximal_ids:
         emb = colim.embeddings[m]
         stacked = emb if stacked is None else stacked.hstack(emb)
         basis = gp(d.objects[m])
@@ -514,22 +526,20 @@ def extend_diagram_functional(
     except NotInLattice as exc:
         raise IncompatibleFamily("family does not descend to the colimit") from exc
 
-    basis_cache = {i: gp(d.objects[i]) for i in d.objects}
     for i in members:
-        emb = colim.embeddings[i]
+        emb, basis = colim.embeddings[i], gp(d.objects[i])
         for j in range(emb.cols):
-            want = sum(a * b for a, b in zip(values[i], basis_cache[i].col(j)))
+            want = sum(a * b for a, b in zip(values[i], basis.col(j)))
             if phi(emb.col(j)) != want:
                 raise IncompatibleFamily("family does not descend to the colimit")
 
     if mode == "nonneg_positive_away":
+        images = analysis.object_images
         member_rays = set()
         for i in members:
-            img = _object_image_cone(d, colim, i)
-            member_rays.update(img.rays)
+            member_rays.update(images[i].rays)
         for i in sorted(d.objects):
-            img = _object_image_cone(d, colim, i)
-            for r in img.rays:
+            for r in images[i].rays:
                 val = phi(r)
                 assert val >= 0, f"negative value on a ray of {i!r}"
                 if r not in member_rays:

@@ -66,6 +66,8 @@ def loads(text: str) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("document is nested too deeply") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     extra = set(raw) - {"version", "kind", "payload"}

@@ -14,18 +14,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cone import NotPointed, cone_from_rays, intersection, is_face, primitivize
-from .diagram import (
-    TightDiagram,
-    _composites,
-    _object_image_cone,
-    _require_tight,
-    colimit,
-)
+from .diagram import TightDiagram
 from .intlin import (
     IntMatrix,
     cokernel_invariants,
     invariant_factors,
-    lattice_coordinates,
     rank,
     solve_left,
 )
@@ -160,21 +153,17 @@ def glue(charts: ChartData) -> StackyFan:
     chart objects inside the colimit cone (their faces are implied, and by
     tightness every face is itself a chart image).
     """
-    d = charts.diagram
-    _require_tight(d)
-    for e in d.morphisms:
-        src, tgt = d.objects[e.source_id], d.objects[e.target_id]
-        step = lattice_coordinates(gp(tgt), e.matrix @ gp(src))
+    analysis = charts.diagram.analysis
+    analysis.require_tight()
+    for e in charts.diagram.morphisms:
+        step = analysis.gp_matrix(e.source_id, e.target_id)
         if charts.betas[e.target_id] @ step != charts.betas[e.source_id]:
             raise IncompatibleBetas(f"betas disagree along {e.source_id!r}->{e.target_id!r}")
 
-    colim = colimit(d)
-    comp, _, _ = _composites(d)
-    maximal_ids = sorted(i for i in d.objects if all(j == i for j in comp[i]))
-
+    colim = analysis.colimit
     stacked = None
     values = None
-    for m in maximal_ids:
+    for m in analysis.maximal_ids:
         emb = colim.embeddings[m]
         stacked = emb if stacked is None else stacked.hstack(emb)
         values = charts.betas[m] if values is None else values.hstack(charts.betas[m])
@@ -187,8 +176,7 @@ def glue(charts: ChartData) -> StackyFan:
             cols=colim.colimit_rank,
         )
 
-    images = {i: _object_image_cone(d, colim, i) for i in d.objects}
-    distinct = {frozenset(c.rays) for c in images.values()}
+    distinct = {frozenset(c.rays) for c in analysis.object_images.values()}
     keep = sorted(
         (s for s in distinct if not any(s < t for t in distinct)),
         key=lambda s: sorted(s),

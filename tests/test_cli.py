@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from toricfans import diagram as diagram_module
 from toricfans import documents
 from toricfans.cli import main, run
 
@@ -347,6 +348,47 @@ def test_truncated_json_is_a_usage_error(tmp_path, capsys):
 def test_missing_input_file_is_a_usage_error(capsys):
     code, out, err = invoke(["validate", "--input", "/nonexistent/x.json"], capsys)
     assert code == 2 and out == "" and err
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    dest = tmp_path / "missing-dir" / "out.json"
+    code, out, err = invoke(["validate", "--input", A1_FAN, "--output", str(dest)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not dest.exists()
+
+
+def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000, "utf-8")
+    code, out, err = invoke(["validate", "--input", str(path)], capsys)
+    assert code == 2 and out == "" and "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "command, path, builds",
+    [("validate", QUADRANT_DIAGRAM, 1), ("colimit", OCTANT, 1), ("glue", DOUBLED_LINE, 1),
+     ("extend", None, 2)],
+)
+def test_each_diagram_is_analysed_once(command, path, builds, tmp_path, monkeypatch, capsys):
+    # extend analyses the parent diagram and the members' induced subdiagram
+    if path is None:
+        diagram = documents.loads(Path(QUADRANT_DIAGRAM).read_text("utf-8")).payload
+        path = write_doc(
+            tmp_path / "req.json",
+            "functional-request",
+            extend_request(diagram, ["f", "f_1"], {"f": [0, 0], "f_1": [1, 0]}),
+        )
+    calls = []
+    original = diagram_module._analyse
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(diagram_module, "_analyse", counting)
+    code, _, _ = invoke([command, "--input", path], capsys)
+    assert code == 0
+    assert len(calls) == builds
 
 
 def test_stdin_and_output_file(tmp_path, monkeypatch, capsys):

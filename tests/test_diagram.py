@@ -209,6 +209,25 @@ def test_join_closed_requires_tight_members():
         is_join_closed(Subdiagram(d, frozenset({E2_RAY, E1_RAY})))
 
 
+def test_join_closed_requires_tight_parent():
+    # the octant misses its other faces (T2), so joins inside it are undefined
+    zero = ToricMonoid(0, cone_from_rays(0, []))
+    ray = ToricMonoid(1, cone_from_rays(1, [(1,)]))
+    d = TightDiagram(
+        {"z": zero, "e1": ray, "e2": ray, "O": ToricMonoid(3, OCTANT)},
+        [
+            DiagramMorphism("z", "e1", IntMatrix.zeros(1, 0)),
+            DiagramMorphism("z", "e2", IntMatrix.zeros(1, 0)),
+            DiagramMorphism("e1", "O", IntMatrix.from_cols([(1, 0, 0)])),
+            DiagramMorphism("e2", "O", IntMatrix.from_cols([(0, 1, 0)])),
+        ],
+    )
+    with pytest.raises(NotTight) as info:
+        is_join_closed(Subdiagram(d, frozenset({"z", "e1", "e2"})))
+    assert info.value.violations == validate_tight(d)
+    assert all(v.startswith("T2") for v in info.value.violations)
+
+
 def test_subdiagram_rejects_unknown_ids():
     with pytest.raises(ValueError):
         Subdiagram(face_diagram(QUADRANT), frozenset({"nope"}))
