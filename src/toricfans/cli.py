@@ -4,7 +4,8 @@ Five subcommands — validate, colimit, extend, glue, check — each reading
 one JSON document (``--input`` or stdin) and writing one (``--output`` or
 stdout).  Exit codes: 0 on success, 1 when the input is well-formed but
 violates a structural axiom (a report document is still written), 2 when
-the input itself is malformed (diagnostic on stderr, nothing written).
+the input itself is malformed or the program breaks one of its own
+invariants (diagnostic on stderr, nothing written).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .diagram import (
     validate_tight,
 )
 from .documents import Document, DocumentError
+from .errors import InternalError
 from .intlin import IntMatrix
 from .monoid import NegativeOnFace
 from .stackyfan import (
@@ -260,6 +262,9 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
     except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InternalError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
         return 2
     return code
 

@@ -18,6 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
+from .errors import InternalError
 from .intlin import (
     IntMatrix,
     complement_summand,
@@ -286,8 +287,10 @@ def supporting_functional(c: Cone, f: Cone) -> Functional:
                 chi[i] += x
     chi = primitivize(tuple(chi))
     face_rays = set(f.rays)
-    assert all(_dot(chi, r) == 0 for r in f.rays)
-    assert all(_dot(chi, r) >= 1 for r in c.rays if r not in face_rays)
+    if any(_dot(chi, r) != 0 for r in f.rays):
+        raise InternalError("supporting functional does not vanish on the face")
+    if any(_dot(chi, r) < 1 for r in c.rays if r not in face_rays):
+        raise InternalError("supporting functional is not positive away from the face")
     return Functional(chi)
 
 
@@ -315,5 +318,6 @@ def intersection(a: Cone, b: Cone) -> Cone:
             gens.append(l)
             gens.append(tuple(-x for x in l))
     met = cone_dual_of_generated(a.ambient_rank, gens)
-    assert isinstance(met, Cone)
+    if not isinstance(met, Cone):
+        raise InternalError("intersection of pointed cones is not pointed")
     return met

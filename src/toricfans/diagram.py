@@ -37,6 +37,7 @@ from .cone import (
     faces,
     supporting_functional,
 )
+from .errors import InternalError
 from .intlin import (
     IntMatrix,
     NotInLattice,
@@ -417,7 +418,7 @@ def extend_diagram_functional(
     Follows the inductive proof: repeatedly take the maximal outside object b
     (lexicographically smallest id on ties); when nothing processed sits
     above b, extend from the maximum processed face D_m of b (existence and
-    uniqueness asserted); otherwise b's value is forced by restriction.  The
+    uniqueness checked); otherwise b's value is forced by restriction.  The
     down-set of b then fills in by restriction.  In positive mode the result
     is >= 0 on every ray of every object and >= 1 on every ray whose colimit
     image lies outside the members' images.
@@ -488,7 +489,8 @@ def extend_diagram_functional(
             processed_faces = below[b] & current
             if processed_faces:
                 maximal = _maximal_among(processed_faces, comp)
-                assert len(maximal) == 1, f"no unique maximum processed face of {b!r}"
+                if len(maximal) != 1:
+                    raise InternalError(f"no unique maximum processed face of {b!r}")
                 dm = maximal[0]
                 morphism = FaceMorphism(d.objects[dm], d.objects[b], comp[dm][b])
                 psi = MonoidFunctional(d.objects[dm], Functional(values[dm]))
@@ -541,9 +543,10 @@ def extend_diagram_functional(
         for i in sorted(d.objects):
             for r in images[i].rays:
                 val = phi(r)
-                assert val >= 0, f"negative value on a ray of {i!r}"
-                if r not in member_rays:
-                    assert val >= 1, f"non-positive value away from the subdiagram at {r}"
+                if val < 0:
+                    raise InternalError(f"negative value on a ray of {i!r}")
+                if val < 1 and r not in member_rays:
+                    raise InternalError(f"non-positive value away from the subdiagram at {r}")
     return phi
 
 

@@ -4,20 +4,31 @@ writes.
 One envelope: {"version": "1", "kind": ..., "payload": ...}.  Integer
 entries whose magnitude exceeds 2**53 - 1 are serialized as decimal strings
 so exactness survives JSON readers that coerce numbers to floats; both
-forms are accepted on input.  Payloads are checked against the JSON Schema
-for their kind (shipped with the package) before any computation runs.
+forms are accepted on input.
+
+The JSON Schema of each kind (shipped with the package) is the contract for
+its payload.  On first use it is compiled into one plain Python predicate
+that agrees with Draft 2020-12 as jsonschema implements it; a keyword the
+compiler does not know makes compilation fail, so a schema edit can never
+be silently ignored.  Payloads are checked with that predicate before any
+computation runs, and outputs are re-checked before they are written.
+jsonschema is imported only when a payload is rejected, to word the
+diagnostic.  Integer scalars (ranks, cone indices) that the schema lets
+through as ``2.0`` are refused by the decoders.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
-
-from jsonschema import Draft202012Validator
+from numbers import Number
+from typing import Callable
 
 from .cone import Cone, cone_from_rays
 from .diagram import ColimitResult, DiagramMorphism, TightDiagram, verify_face_embeddings
+from .errors import InternalError
 from .intlin import IntMatrix
 from .monoid import ToricMonoid, gp
 from .stackyfan import ChartData, Fan, InfiniteCokernel, StackyFan
@@ -50,14 +61,140 @@ class Document:
     version: str = FORMAT_VERSION
 
 
-_validators: dict[str, Draft202012Validator] = {}
+_predicates: dict[str, Callable[[object], bool]] = {}
+_validators: dict = {}
+
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
+_KEYWORDS = frozenset(
+    {"$ref", "type", "properties", "required", "additionalProperties", "items",
+     "minimum", "pattern", "enum", "oneOf"}
+)
+_LOCAL_REF = re.compile(r"#/\$defs/([A-Za-z0-9_-]+)")
 
 
-def _validator(kind: str) -> Draft202012Validator:
+def schema(kind: str) -> dict:
+    """The packaged JSON Schema of a document kind."""
+    text = resources.files("toricfans").joinpath("schemas", f"{kind}.json").read_text("utf-8")
+    return json.loads(text)
+
+
+def _is_integer(x) -> bool:
+    # any number with a zero fractional part, so 2.0 counts; a bool never does
+    return not isinstance(x, bool) and (isinstance(x, int) or (isinstance(x, float) and x.is_integer()))
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": _is_integer,
+}
+
+
+def compile_schema(root: dict) -> Callable[[object], bool]:
+    """Compile a JSON Schema into a predicate equal to Draft 2020-12 validity.
+
+    Only the keywords the packaged schemas use are understood: ``type``
+    (object, array, string, boolean, integer), ``properties``, ``required``,
+    ``additionalProperties``, ``items``, ``minimum``, ``pattern``, ``enum``
+    (of strings), ``oneOf`` and local ``$ref`` into the root's ``$defs``.
+    Each keyword constrains only instances of its own type, as in the
+    draft.  Anything else raises InternalError here, not at check time.
+    """
+    if root.get("$schema", _DRAFT) != _DRAFT:
+        raise InternalError(f"schema dialect {root['$schema']!r} is not Draft 2020-12")
+    defs = root.get("$defs", {})
+    compiled: dict[str, Callable[[object], bool]] = {}
+
+    def ref(target):
+        match = _LOCAL_REF.fullmatch(target) if isinstance(target, str) else None
+        if match is None or match[1] not in defs:
+            raise InternalError(f"unsupported $ref {target!r}")
+        name = match[1]
+        if name not in compiled:
+            compiled[name] = lambda x: compiled[name](x)  # stands in while name compiles
+            compiled[name] = node(defs[name])
+        return compiled[name]
+
+    def node(s) -> Callable[[object], bool]:
+        if isinstance(s, bool):
+            return lambda x: s
+        if not isinstance(s, dict):
+            raise InternalError(f"not a schema: {s!r}")
+        unknown = s.keys() - _KEYWORDS
+        if unknown:
+            raise InternalError(f"unsupported schema keywords {sorted(unknown)}")
+        checks = []
+        if "type" in s:
+            if s["type"] not in _TYPES:
+                raise InternalError(f"unsupported schema type {s['type']!r}")
+            checks.append(_TYPES[s["type"]])
+        if "$ref" in s:
+            checks.append(ref(s["$ref"]))
+        if "enum" in s:
+            if not all(isinstance(v, str) for v in s["enum"]):
+                raise InternalError(f"enum of non-strings {s['enum']!r}")
+            allowed = frozenset(s["enum"])
+            checks.append(lambda x: isinstance(x, str) and x in allowed)
+        if "minimum" in s:
+            low = s["minimum"]
+            # jsonschema's own comparison, so NaN passes as it does there
+            checks.append(lambda x: isinstance(x, bool) or not isinstance(x, Number) or not x < low)
+        if "pattern" in s:
+            search = re.compile(s["pattern"]).search
+            checks.append(lambda x: not isinstance(x, str) or search(x) is not None)
+        if "oneOf" in s:
+            checks.append(_exactly_one([node(b) for b in s["oneOf"]]))
+        if s.keys() & {"properties", "required", "additionalProperties"}:
+            props = {k: node(v) for k, v in s.get("properties", {}).items()}
+            required = frozenset(s.get("required", ()))
+            rest = node(s.get("additionalProperties", True))
+            checks.append(
+                lambda x: not isinstance(x, dict)
+                or (required <= x.keys() and all(props.get(k, rest)(v) for k, v in x.items()))
+            )
+        if "items" in s:
+            item = node(s["items"])
+            checks.append(lambda x: not isinstance(x, list) or all(map(item, x)))
+        if len(checks) == 1:
+            return checks[0]
+        if len(checks) == 2:
+            first, second = checks
+            return lambda x: first(x) and second(x)
+        return lambda x: all(c(x) for c in checks)
+
+    return node({k: v for k, v in root.items() if k not in ("$schema", "$defs")})
+
+
+def _exactly_one(branches):
+    def check(x) -> bool:
+        hits = 0
+        for b in branches:
+            hits += b(x)
+        return hits == 1
+
+    return check
+
+
+def _predicate(kind: str) -> Callable[[object], bool]:
+    if kind not in _predicates:
+        _predicates[kind] = compile_schema(schema(kind))
+    return _predicates[kind]
+
+
+def _first_violation(kind: str, payload) -> str | None:
+    """jsonschema's wording of the first schema error, by instance path."""
+    from jsonschema import Draft202012Validator
+
     if kind not in _validators:
-        text = resources.files("toricfans").joinpath("schemas", f"{kind}.json").read_text("utf-8")
-        _validators[kind] = Draft202012Validator(json.loads(text))
-    return _validators[kind]
+        _validators[kind] = Draft202012Validator(schema(kind))
+    errors = sorted(_validators[kind].iter_errors(payload), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    first = errors[0]
+    where = "/".join(str(p) for p in first.absolute_path) or "(root)"
+    return f"schema violation for kind {kind!r} at {where}: {first.message}"
 
 
 def loads(text: str) -> Document:
@@ -81,18 +218,21 @@ def loads(text: str) -> Document:
     if "payload" not in raw:
         raise DocumentError("document has no payload")
     payload = raw["payload"]
-    errors = sorted(_validator(kind).iter_errors(payload), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "(root)"
-        raise DocumentError(f"schema violation for kind {kind!r} at {where}: {first.message}")
+    if not _predicate(kind)(payload):
+        message = _first_violation(kind, payload)
+        if message is None:
+            raise InternalError(f"compiled schema of kind {kind!r} rejects a payload jsonschema accepts")
+        raise DocumentError(message)
     return Document(kind, payload)
 
 
 def dumps(doc: Document) -> str:
     """Deterministic serialization; the payload is re-checked against its
     schema so a malformed emission fails loudly at the source."""
-    _validator(doc.kind).validate(doc.payload)
+    if not _predicate(doc.kind)(doc.payload):
+        raise InternalError(
+            f"emitted {doc.kind!r} document fails its schema: {_first_violation(doc.kind, doc.payload)}"
+        )
     body = {"kind": doc.kind, "payload": doc.payload, "version": doc.version}
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
@@ -136,7 +276,7 @@ def encode_cone(c: Cone) -> dict:
 
 
 def decode_cone(payload) -> Cone:
-    n = payload["ambient_rank"]
+    n = decode_int(payload["ambient_rank"])
     rays = [decode_vector(r) for r in payload["rays"]]
     if any(len(r) != n for r in rays):
         raise DocumentError("ray length does not match ambient_rank")
@@ -148,7 +288,7 @@ def encode_monoid(m: ToricMonoid) -> dict:
 
 
 def decode_monoid(payload) -> ToricMonoid:
-    n = payload["lattice_rank"]
+    n = decode_int(payload["lattice_rank"])
     c = decode_cone(payload["cone"])
     if c.ambient_rank != n:
         raise DocumentError("cone ambient_rank differs from lattice_rank")
@@ -194,9 +334,9 @@ def encode_fan(f: Fan) -> dict:
 def decode_fan(payload) -> Fan:
     try:
         return Fan(
-            payload["lattice_rank"],
+            decode_int(payload["lattice_rank"]),
             tuple(decode_vector(r) for r in payload["rays"]),
-            tuple(tuple(ixs) for ixs in payload["maximal_cones"]),
+            tuple(decode_vector(ixs) for ixs in payload["maximal_cones"]),
         )
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
@@ -217,7 +357,7 @@ def decode_stackyfan(payload) -> StackyFan:
     fan = decode_fan(payload["fan"])
     beta = decode_matrix(payload["beta"], fan.lattice_rank)
     try:
-        return StackyFan(fan, beta, payload["target_rank"])
+        return StackyFan(fan, beta, decode_int(payload["target_rank"]))
     except InfiniteCokernel:
         raise
     except ValueError as exc:
@@ -239,7 +379,7 @@ def decode_charts(payload) -> ChartData:
         hint = gp(d.objects[i]).cols if i in d.objects else None
         betas[i] = decode_matrix(raw, hint)
     try:
-        return ChartData(d, betas, payload["target_rank"])
+        return ChartData(d, betas, decode_int(payload["target_rank"]))
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 

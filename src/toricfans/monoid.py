@@ -19,6 +19,7 @@ from .cone import (
     span_sublattice,
     supporting_functional,
 )
+from .errors import InternalError
 from .intlin import (
     IntMatrix,
     complement_summand,
@@ -177,5 +178,6 @@ def extend_functional(
         out = MonoidFunctional(m, Functional(total))
 
     # restriction along f must reproduce psi on the nose
-    assert [out.coefficients(s.col(j)) for j in range(s.cols)] == w
+    if [out.coefficients(s.col(j)) for j in range(s.cols)] != w:
+        raise InternalError("extended functional does not restrict to the given one")
     return out

@@ -364,6 +364,48 @@ def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and out == "" and "nested too deeply" in err
 
 
+def _fan_with(**changes) -> dict:
+    body = {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]]}
+    return {**body, **changes}
+
+
+def _diagram_with_float_rank() -> dict:
+    diagram = json.loads(Path(QUADRANT_DIAGRAM).read_text("utf-8"))["payload"]
+    diagram["objects"]["f_0"]["lattice_rank"] = 2.0
+    return diagram
+
+
+@pytest.mark.parametrize(
+    "argv, kind, body",
+    [
+        (["check", "--which", "group"], "fan", _fan_with(lattice_rank=2.0)),
+        (["check", "--which", "smooth"], "fan", _fan_with(maximal_cones=[[0, 1.0]])),
+        (["validate"], "diagram", _diagram_with_float_rank()),
+        (["validate"], "monoid", {"lattice_rank": 1, "cone": {"ambient_rank": 1.0, "rays": [[1]]}}),
+        (["check", "--which", "group"], "stackyfan",
+         {"fan": _fan_with(), "beta": [[1, 0], [0, 1]], "target_rank": 2.0}),
+        (["glue"], "charts",
+         {**json.loads(Path(DOUBLED_LINE).read_text("utf-8"))["payload"], "target_rank": 1.0}),
+    ],
+)
+def test_integer_fields_refuse_integral_floats(argv, kind, body, tmp_path, capsys):
+    # the schema's "integer" admits 2.0; the decoders must refuse it, not crash on it
+    path = write_doc(tmp_path / "doc.json", kind, body)
+    code, out, err = invoke([*argv, "--input", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not an integer value" in err
+
+
+def test_internal_error_is_exit_2_with_a_diagnostic(monkeypatch, capsys):
+    # an emission that fails its own schema is a broken invariant, not a violation (exit 1)
+    monkeypatch.setattr(documents, "encode_colimit", lambda d, result: {"colimit_rank": -1})
+    code, out, err = invoke(["colimit", "--input", QUADRANT_DIAGRAM], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: internal error: emitted 'colimit' document fails its schema")
+
+
 @pytest.mark.parametrize(
     "command, path, builds",
     [("validate", QUADRANT_DIAGRAM, 1), ("colimit", OCTANT, 1), ("glue", DOUBLED_LINE, 1),

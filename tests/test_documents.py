@@ -8,6 +8,7 @@ from toricfans import documents
 from toricfans.cone import NotPointed, cone_from_rays
 from toricfans.diagram import coproduct, face_diagram
 from toricfans.documents import Document, DocumentError
+from toricfans.errors import InternalError
 from toricfans.intlin import IntMatrix
 from toricfans.monoid import ToricMonoid
 from toricfans.stackyfan import ChartData, Fan, InfiniteCokernel, StackyFan
@@ -172,7 +173,7 @@ def test_decode_stackyfan_propagates_finite_cokernel():
 
 
 def test_dumps_checks_its_own_output():
-    with pytest.raises(Exception):
+    with pytest.raises(InternalError, match="'ambient_rank' is a required property"):
         documents.dumps(Document("cone", {"rays": []}))
 
 

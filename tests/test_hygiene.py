@@ -1,0 +1,49 @@
+"""Tooling guards on the package source: no assert statements, no private
+names imported across modules, and no jsonschema import at start-up."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "toricfans"
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path, ast.parse(path.read_text("utf-8"), filename=str(path))
+
+
+def test_no_assert_statements():
+    # asserts vanish under python -O; invariants raise errors.InternalError instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_private_names_imported_across_modules():
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # jsonschema only words rejections, so it is imported on the first one
+    paths = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    probe = "import sys, toricfans.cli; print('jsonschema' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
