@@ -5,16 +5,17 @@ lexicographically, so equality and hashing are structural.  Facet normals
 are found by enumerating hyperplanes through generator subsets: every facet
 of a generated cone is generated by the generators lying on it, so its
 normal is the kernel of d-1 independent generators, oriented to be
-nonnegative on the rest.  Duality, membership and face enumeration all
-reduce to that computation.  The dual of a cone spanning a proper subspace
-contains the annihilator of the span as lines and comes back as a
-NonPointedCone.
+nonnegative on the rest.  Each set of generators is analysed once into one
+record behind one bounded cache, and the public functions only read records
+(a Cone's is that of its rays): span, facets, extreme rays, dual and faces.
+The dual of a cone spanning a proper subspace contains the annihilator of
+the span as lines and comes back as a NonPointedCone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -101,12 +102,6 @@ def _clean_generators(ambient_rank, generators):
     return tuple(sorted(vecs))
 
 
-def _active_rank(vectors, dim):
-    if not vectors:
-        return 0
-    return rank(IntMatrix.from_rows(vectors, cols=dim))
-
-
 def _facet_normals(coords, dim):
     """Facet normals of the cone generated by coords, full-dimensional in
     Z^dim.  Primitive, deduplicated, sorted.
@@ -131,41 +126,72 @@ def _facet_normals(coords, dim):
     return tuple(sorted(out))
 
 
-def _span_basis(ambient_rank, vectors):
-    """Saturated basis for the lattice points in the rational span."""
-    vecs = [v for v in vectors if any(v)]
-    ann = kernel_basis(IntMatrix.from_rows(vecs, cols=ambient_rank))
-    return kernel_basis(ann.transpose())
+@dataclass(frozen=True)
+class _Analysis:
+    """What the module knows about the cone generated by vecs (cleaned).
 
-
-@lru_cache(maxsize=None)
-def _cone_geometry(ambient_rank: int, vecs: tuple[tuple[int, ...], ...]):
-    """Span basis, span coordinates, pointedness and facet normals (facets in
-    span coordinates) for the cone generated by vecs.
-
-    A full-dimensional cone is pointed exactly when its facet normals span:
-    any lineality would force every valid inequality into its annihilator.
+    ``facets`` are in span coordinates.  A full-dimensional cone is pointed
+    exactly when its facet normals span: any lineality would force every
+    valid inequality into its annihilator.
     """
-    basis = _span_basis(ambient_rank, vecs)
-    d = basis.cols
-    if vecs:
-        coord_mat = lattice_coordinates(basis, IntMatrix.from_cols(vecs, rows=ambient_rank))
-        coords = [coord_mat.col(j) for j in range(len(vecs))]
-    else:
-        coords = []
-    facets = _facet_normals(coords, d)
-    pointed = rank(IntMatrix.from_rows(facets, cols=d)) == d if d else True
-    return basis, coords, pointed, facets
+
+    ambient_rank: int
+    vecs: tuple[tuple[int, ...], ...]
+    lineality: tuple[tuple[int, ...], ...]  # sorted annihilator basis of the span
+    basis: IntMatrix  # saturated basis of the lattice points in the span, as columns
+    coords: tuple[tuple[int, ...], ...]  # vecs in basis coordinates
+    facets: tuple[tuple[int, ...], ...]
+    pointed: bool
+
+    @cached_property
+    def cone(self) -> Cone:
+        """For a pointed cone, the extreme generators: those on d - 1
+        independent facets."""
+        d = self.basis.cols
+        return Cone(self.ambient_rank, tuple(
+            v for v, c in zip(self.vecs, self.coords)
+            if rank(IntMatrix.from_rows([f for f in self.facets if _dot(f, c) == 0], cols=d)) == d - 1
+        ))
+
+    @cached_property
+    def dual_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Facet normals lifted to the ambient dual lattice by the projection
+        that is the identity on the span basis and kills a complement summand,
+        primitive and sorted."""
+        if not self.facets:
+            return ()
+        square = self.basis.hstack(complement_summand(self.basis))
+        proj = lattice_coordinates(square, IntMatrix.identity(self.ambient_rank)).entries[: self.basis.cols]
+        return tuple(sorted(primitivize(tuple(_dot(h, col) for col in zip(*proj))) for h in self.facets))
+
+    @cached_property
+    def faces(self) -> tuple[Cone, ...]:
+        """Faces of the cone whose rays are vecs; see faces()."""
+        facet_sets = [frozenset(r for r in self.vecs if _dot(g, r) == 0) for g in self.dual_generators]
+        found = {frozenset(self.vecs)}
+        frontier = set(facet_sets)
+        while frontier:
+            found |= frontier
+            frontier = {a & b for a in frontier for b in facet_sets if a & b not in found}
+        if self.vecs:
+            found.add(frozenset())  # the zero face: intersection of all facets
+        out = (Cone(self.ambient_rank, tuple(sorted(rs))) for rs in found)
+        return tuple(sorted(out, key=lambda f: (len(f.rays), f.rays)))
 
 
-@lru_cache(maxsize=None)
-def _span_projection(basis: IntMatrix) -> IntMatrix:
-    """Rows give span coordinates: the projection that is the identity on the
-    basis columns and zero on the complement summand."""
-    n = basis.rows
-    square = basis.hstack(complement_summand(basis))
-    coords = lattice_coordinates(square, IntMatrix.identity(n))
-    return IntMatrix.from_rows([coords.row(i) for i in range(basis.cols)], cols=n)
+@lru_cache(maxsize=2048)
+def _analyse(ambient_rank: int, vecs: tuple[tuple[int, ...], ...]) -> _Analysis:
+    ann = kernel_basis(IntMatrix.from_rows(vecs, cols=ambient_rank))
+    basis = kernel_basis(ann.transpose())
+    coords = tuple(lattice_coordinates(basis, IntMatrix.from_cols(vecs, rows=ambient_rank)).columns())
+    facets = _facet_normals(coords, basis.cols)
+    pointed = rank(IntMatrix.from_rows(facets, cols=basis.cols)) == basis.cols
+    return _Analysis(ambient_rank, vecs, tuple(sorted(ann.columns())), basis, coords, facets, pointed)
+
+
+def _of(c: Cone) -> _Analysis:
+    # a Cone's rays are already clean generators
+    return _analyse(c.ambient_rank, c.rays)
 
 
 def cone_from_rays(ambient_rank: int, generators: Sequence[Sequence[int]]) -> Cone:
@@ -175,17 +201,10 @@ def cone_from_rays(ambient_rank: int, generators: Sequence[Sequence[int]]) -> Co
     and the survivors sorted.  Raises NotPointed when the generated cone
     contains a line.
     """
-    vecs = _clean_generators(ambient_rank, generators)
-    _, coords, pointed, facets = _cone_geometry(ambient_rank, vecs)
-    if not pointed:
+    a = _analyse(ambient_rank, _clean_generators(ambient_rank, generators))
+    if not a.pointed:
         raise NotPointed("generators span a cone containing a line")
-    d = len(coords[0]) if coords else 0
-    extreme = []
-    for v, c in zip(vecs, coords):
-        active = [f for f in facets if _dot(f, c) == 0]
-        if _active_rank(active, d) == d - 1:
-            extreme.append(v)
-    return Cone(ambient_rank, tuple(sorted(extreme)))
+    return a.cone
 
 
 def cone_dual_of_generated(ambient_rank: int, generators: Sequence[Sequence[int]]) -> Cone | NonPointedCone:
@@ -197,31 +216,10 @@ def cone_dual_of_generated(ambient_rank: int, generators: Sequence[Sequence[int]
     the span.  Lines appear exactly when the generators do not span, and the
     lineality returned is the annihilator of their span.
     """
-    vecs = _clean_generators(ambient_rank, generators)
-    basis, _, _, facets = _cone_geometry(ambient_rank, vecs)
-    lin_mat = kernel_basis(IntMatrix.from_rows(vecs, cols=ambient_rank))
-    lin = tuple(sorted(lin_mat.col(j) for j in range(lin_mat.cols)))
-    if facets:
-        proj = _span_projection(basis)
-        gens = tuple(
-            sorted(
-                primitivize(tuple(_dot(h, proj.col(j)) for j in range(ambient_rank)))
-                for h in facets
-            )
-        )
-    else:
-        gens = ()
-    if not lin:
-        return Cone(ambient_rank, gens)
-    return NonPointedCone(ambient_rank, gens, lin)
-
-
-@lru_cache(maxsize=None)
-def _dual_data(c: Cone) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    d = cone_dual_of_generated(c.ambient_rank, c.rays)
-    if isinstance(d, Cone):
-        return d.rays, ()
-    return d.generators, d.lineality
+    a = _analyse(ambient_rank, _clean_generators(ambient_rank, generators))
+    if not a.lineality:
+        return Cone(ambient_rank, a.dual_generators)
+    return NonPointedCone(ambient_rank, a.dual_generators, a.lineality)
 
 
 def dual_cone(c: Cone) -> Cone | NonPointedCone:
@@ -236,13 +234,12 @@ def contains(c: Cone, v: Sequence[int]) -> bool:
     v = tuple(int(x) for x in v)
     if len(v) != c.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
-    gens, lin = _dual_data(c)
-    if any(_dot(l, v) != 0 for l in lin):
+    a = _of(c)
+    if any(_dot(l, v) != 0 for l in a.lineality):
         return False
-    return all(_dot(g, v) >= 0 for g in gens)
+    return all(_dot(g, v) >= 0 for g in a.dual_generators)
 
 
-@lru_cache(maxsize=None)
 def faces(c: Cone) -> tuple[Cone, ...]:
     """All faces of c, the zero face and c itself included.
 
@@ -251,18 +248,7 @@ def faces(c: Cone) -> tuple[Cone, ...]:
     face are exactly that face's extreme rays, which keeps the construction
     canonical.  Sorted by (ray count, rays).
     """
-    gens, _ = _dual_data(c)
-    facet_sets = [frozenset(r for r in c.rays if _dot(g, r) == 0) for g in gens]
-    found = {frozenset(c.rays)}
-    frontier = set(facet_sets)
-    while frontier:
-        found |= frontier
-        frontier = {a & b for a in frontier for b in facet_sets if a & b not in found}
-    if c.rays:
-        found.add(frozenset())  # the zero face: intersection of all facets
-    out = [Cone(c.ambient_rank, tuple(sorted(rs))) for rs in found]
-    out.sort(key=lambda f: (len(f.rays), f.rays))
-    return tuple(out)
+    return _of(c).faces
 
 
 def is_face(c: Cone, f: Cone) -> bool:
@@ -277,15 +263,11 @@ def supporting_functional(c: Cone, f: Cone) -> Functional:
     on f.  The improper face gets the zero functional.  Raises NotAFace when
     f is not a face of c.
     """
-    if f not in faces(c):
+    a = _of(c)
+    if f not in a.faces:
         raise NotAFace("second cone is not a face of the first")
-    gens, _ = _dual_data(c)
-    chi = [0] * c.ambient_rank
-    for g in gens:
-        if all(_dot(g, r) == 0 for r in f.rays):
-            for i, x in enumerate(g):
-                chi[i] += x
-    chi = primitivize(tuple(chi))
+    on_f = [g for g in a.dual_generators if all(_dot(g, r) == 0 for r in f.rays)]
+    chi = primitivize(tuple(sum(g[i] for g in on_f) for i in range(c.ambient_rank)))
     face_rays = set(f.rays)
     if any(_dot(chi, r) != 0 for r in f.rays):
         raise InternalError("supporting functional does not vanish on the face")
@@ -294,10 +276,9 @@ def supporting_functional(c: Cone, f: Cone) -> Functional:
     return Functional(chi)
 
 
-@lru_cache(maxsize=None)
 def span_sublattice(c: Cone) -> IntMatrix:
     """Saturated basis (as columns) of the lattice points in the span of c."""
-    return _span_basis(c.ambient_rank, c.rays)
+    return _of(c).basis
 
 
 def intersection(a: Cone, b: Cone) -> Cone:
@@ -312,11 +293,9 @@ def intersection(a: Cone, b: Cone) -> Cone:
         raise ValueError("ambient rank mismatch")
     gens: list[tuple[int, ...]] = []
     for c in (a, b):
-        g, lin = _dual_data(c)
-        gens.extend(g)
-        for l in lin:
-            gens.append(l)
-            gens.append(tuple(-x for x in l))
+        known = _of(c)
+        gens.extend(known.dual_generators)
+        gens.extend(w for l in known.lineality for w in (l, tuple(-x for x in l)))
     met = cone_dual_of_generated(a.ambient_rank, gens)
     if not isinstance(met, Cone):
         raise InternalError("intersection of pointed cones is not pointed")

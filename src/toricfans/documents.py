@@ -13,14 +13,17 @@ compiler does not know makes compilation fail, so a schema edit can never
 be silently ignored.  Payloads are checked with that predicate before any
 computation runs, and outputs are re-checked before they are written.
 jsonschema is imported only when a payload is rejected, to word the
-diagnostic.  Integer scalars (ranks, cone indices) that the schema lets
-through as ``2.0`` are refused by the decoders.
+diagnostic.  The decoders refuse what the schema lets through but is no
+integer: ``2.0`` for a rank or cone index, and a decimal string that is not
+exactly ``-?[0-9]+``.  An integer longer than Python's int digit limit
+(4300 by default) is refused, in a number literal or a string.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from numbers import Number
@@ -70,6 +73,7 @@ _KEYWORDS = frozenset(
      "minimum", "pattern", "enum", "oneOf"}
 )
 _LOCAL_REF = re.compile(r"#/\$defs/([A-Za-z0-9_-]+)")
+_DECIMAL = re.compile(r"-?[0-9]+")  # whole string; the schema's pattern lets "12\n" through
 
 
 def schema(kind: str) -> dict:
@@ -203,6 +207,8 @@ def loads(text: str) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except ValueError:  # json parses number literals with int(), which has a digit limit
+        raise _too_long() from None
     except RecursionError:
         raise DocumentError("document is nested too deeply") from None
     if not isinstance(raw, dict):
@@ -241,10 +247,19 @@ def encode_int(v: int):
     return v if abs(v) <= _SAFE_BOUND else str(v)
 
 
+def _too_long() -> DocumentError:
+    return DocumentError(f"integer with more than {sys.get_int_max_str_digits()} digits")
+
+
 def decode_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
+    if isinstance(v, str) and _DECIMAL.fullmatch(v):
+        try:
+            return int(v)
+        except ValueError:
+            raise _too_long() from None
+    if isinstance(v, bool) or not isinstance(v, int):
         raise DocumentError(f"not an integer value: {v!r}")
-    return int(v)
+    return v
 
 
 def encode_vector(v) -> list:

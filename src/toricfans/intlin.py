@@ -34,7 +34,11 @@ def _as_int(x) -> int:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major, mapping Z^cols -> Z^rows."""
+    """Immutable integer matrix, row-major, mapping Z^cols -> Z^rows.
+
+    from_rows and from_cols refuse entries that are not ints; the
+    constructor checks the shape only and trusts its entries.
+    """
 
     rows: int
     cols: int
@@ -48,8 +52,6 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix entries")
-            for x in row:
-                _as_int(x)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], *, cols: int | None = None) -> "IntMatrix":

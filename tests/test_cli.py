@@ -397,6 +397,31 @@ def test_integer_fields_refuse_integral_floats(argv, kind, body, tmp_path, capsy
     assert err.startswith("error: ") and "not an integer value" in err
 
 
+def _monoid_with_ray(entry) -> str:
+    body = {"lattice_rank": 1, "cone": {"ambient_rank": 1, "rays": [[entry]]}}
+    return json.dumps({"kind": "monoid", "payload": body, "version": "1"})
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        # a number literal past the interpreter's int digit limit fails inside json.loads
+        (["colimit"], '{"kind": "cone", "payload": {"ambient_rank": 1, "rays": [[%s]]}, "version": "1"}'
+         % ("9" * 5000), "integer with more than"),
+        (["validate"], _monoid_with_ray("9" * 5000), "integer with more than"),
+        # the schema pattern is matched with re.search, whose $ accepts a final newline
+        (["validate"], _monoid_with_ray("12\n"), "not an integer value: '12\\n'"),
+    ],
+)
+def test_unreadable_integers_are_usage_errors(argv, text, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text, "utf-8")
+    code, out, err = invoke([*argv, "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_internal_error_is_exit_2_with_a_diagnostic(monkeypatch, capsys):
     # an emission that fails its own schema is a broken invariant, not a violation (exit 1)
     monkeypatch.setattr(documents, "encode_colimit", lambda d, result: {"colimit_rank": -1})

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, assume, strategies as st
 
+from toricfans import cone as cone_module
 from toricfans.cone import (
     Cone,
     NonPointedCone,
@@ -174,6 +175,26 @@ def test_span_sublattice():
     assert b.entries == ((1,), (0,))
     full = span_sublattice(WEDGE)
     assert (full.rows, full.cols) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "generators, analyses",
+    [
+        ([(1, 0), (1, 2)], 1),
+        # (1, 1) is not extreme, so the cone's own rays are a second generator set
+        ([(1, 0), (1, 1), (0, 1)], 2),
+    ],
+)
+def test_each_generator_set_is_analysed_once(generators, analyses):
+    cone_module._analyse.cache_clear()
+    c = cone_from_rays(2, generators)
+    assert cone_from_rays(2, generators) == c
+    fs = faces(c)
+    dual_cone(c)
+    assert contains(c, (1, 1))
+    span_sublattice(c)
+    supporting_functional(c, fs[1])
+    assert cone_module._analyse.cache_info().misses == analyses
 
 
 def test_intersection_of_wedges():

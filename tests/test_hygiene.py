@@ -1,5 +1,6 @@
 """Tooling guards on the package source: no assert statements, no private
-names imported across modules, and no jsonschema import at start-up."""
+names imported across modules, no unbounded caches, and no jsonschema
+import at start-up."""
 
 import ast
 import os
@@ -35,6 +36,32 @@ def test_no_private_names_imported_across_modules():
         for alias in node.names
         if alias.name.startswith("_")
     ]
+    assert found == []
+
+
+def _unbounded_caches(tree):
+    """Lines using functools.cache or lru_cache with maxsize None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            bad = any(alias.name == "cache" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            bad = node.attr == "cache" and isinstance(node.value, ast.Name) and node.value.id == "functools"
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            bad = any(isinstance(size, ast.Constant) and size.value is None for size in sizes)
+        else:
+            bad = False
+        if bad:
+            yield node.lineno
+
+
+def test_caches_are_bounded():
+    # a long-lived process sees ever new inputs, so every cache needs a size bound
+    for bad in ("from functools import cache", "functools.cache", "lru_cache(maxsize=None)",
+                "functools.lru_cache(None)"):
+        assert list(_unbounded_caches(ast.parse(bad))) == [1]
+    assert list(_unbounded_caches(ast.parse("lru_cache(maxsize=64)"))) == []
+    found = [f"{path.name}:{line}" for path, tree in _modules() for line in _unbounded_caches(tree)]
     assert found == []
 
 

@@ -24,6 +24,15 @@ def M(rows, cols=None):
     return IntMatrix.from_rows(rows, cols=cols)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_boundary_constructors_refuse_non_int_entries(bad):
+    # the plain constructor trusts its entries; from_rows and from_cols check them
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1, bad]])
+    with pytest.raises(TypeError):
+        IntMatrix.from_cols([[1, bad]])
+
+
 def test_smith_pinned_2x2():
     # oracle: d1 = gcd of all entries = 2, d1*d2 = |det| = |2*8 - 4*6| = 8
     a = M([[2, 4], [6, 8]])
