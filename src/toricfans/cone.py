@@ -2,10 +2,13 @@
 
 A Cone is stored canonically: primitive extreme ray generators, sorted
 lexicographically, so equality and hashing are structural.  Facet normals
-are found by enumerating hyperplanes through generator subsets: every facet
-of a generated cone is generated by the generators lying on it, so its
-normal is the kernel of d-1 independent generators, oriented to be
-nonnegative on the rest.  Each set of generators is analysed once into one
+come from the double description method in span coordinates: start from
+the simplicial cone of d independent generators, then add the other
+generators one at a time, combining every adjacent pair of current normals
+on opposite sides of the new one into a normal through it.  Adjacency is
+decided on the normals' zero sets alone.  Each facet keeps the generators
+lying on it as an int bitmask, and the extreme rays and the faces are read
+off that incidence.  Each set of generators is analysed once into one
 record behind one bounded cache, and the public functions only read records
 (a Cone's is that of its rays): span, facets, extreme rays, dual and faces.
 The dual of a cone spanning a proper subspace contains the annihilator of
@@ -16,17 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Sequence
 
 from .errors import InternalError
 from .intlin import (
     IntMatrix,
     complement_summand,
+    int_vector,
     kernel_basis,
     lattice_coordinates,
     primitivize,
-    rank,
 )
 
 
@@ -90,7 +92,7 @@ def _clean_generators(ambient_rank, generators):
     seen = set()
     vecs = []
     for g in generators:
-        g = tuple(int(x) for x in g)
+        g = int_vector(g)
         if len(g) != ambient_rank:
             raise ValueError("generator length does not match ambient rank")
         if not any(g):
@@ -103,36 +105,73 @@ def _clean_generators(ambient_rank, generators):
 
 
 def _facet_normals(coords, dim):
-    """Facet normals of the cone generated by coords, full-dimensional in
-    Z^dim.  Primitive, deduplicated, sorted.
+    """Facet normals of the cone generated by coords, which span Q^dim, and
+    the generators on each facet as a bitmask over coords: primitive normals,
+    sorted, with their masks in the same order.
 
-    Each candidate hyperplane is the kernel of dim - 1 of the generators; it
-    supports a facet exactly when the kernel is a line and all generators
-    sit weakly on one side of it.
+    Double description: the normals are the extreme rays of the dual cone
+    {y : c.y >= 0 for every generator c}, built up one generator at a time
+    from all of Q^dim.  While the generators met so far do not span, the
+    dual has lines, kept as a basis.  A generator independent of those met
+    so far turns one line, oriented positive on it, into a normal and moves
+    the rest into its kernel along that line; after dim of them the dual is
+    the simplicial cone of dim independent generators, and pointed from
+    then on.  Any other generator keeps the normals positive on it, keeps
+    those vanishing on it with its bit set, drops the negative ones, and
+    combines each adjacent (positive, negative) pair into a normal vanishing
+    on it.  Modulo the lines the dual is pointed, so two of its normals are
+    adjacent exactly when no third one vanishes on every generator both
+    vanish on (Fukuda and Prodon 1996); at least dim - 2 such generators,
+    less the lines, are needed first.  A cone containing a line is fine: its
+    dual is pointed whenever the generators span.
     """
-    if dim == 0:
-        return ()
-    out = set()
-    for subset in combinations(coords, dim - 1):
-        ker = kernel_basis(IntMatrix.from_rows(subset, cols=dim))
-        if ker.cols != 1:
+    lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []  # (normal, mask of the generators it vanishes on)
+    for k, c in enumerate(coords):
+        bit = 1 << k
+        values = [_dot(c, l) for l in lines]
+        j = next((j for j, v in enumerate(values) if v), None)
+        if j is not None:
+            s, l = abs(values[j]), lines.pop(j)
+            l = l if values[j] > 0 else tuple(-x for x in l)
+            del values[j]
+            lines = [primitivize(tuple(s * x - v * y for x, y in zip(m, l))) for m, v in zip(lines, values)]
+            rays = [(primitivize(tuple(s * x - _dot(c, y) * w for x, w in zip(y, l))), z | bit) for y, z in rays]
+            rays.append((l, bit - 1))
             continue
-        n = primitivize(ker.col(0))
-        values = [_dot(n, c) for c in coords]
-        if all(v >= 0 for v in values):
-            out.add(n)
-        elif all(v <= 0 for v in values):
-            out.add(tuple(-x for x in n))
-    return tuple(sorted(out))
+        kept, pos, neg = [], [], []
+        for y, z in rays:
+            value = _dot(c, y)
+            if value > 0:
+                kept.append((y, z))
+                pos.append((value, y, z))
+            elif value < 0:
+                neg.append((value, y, z))
+            else:
+                kept.append((y, z | bit))
+        masks = [z for _, z in rays]
+        for vp, yp, zp in pos:
+            for vn, yn, zn in neg:
+                common = zp & zn
+                if common.bit_count() < dim - len(lines) - 2:
+                    continue
+                if any(z & common == common and z != zp and z != zn for z in masks):
+                    continue
+                kept.append((primitivize(tuple(vp * b - vn * a for a, b in zip(yp, yn))), common | bit))
+        rays = kept
+    rays.sort()
+    return tuple(y for y, _ in rays), tuple(z for _, z in rays)
 
 
 @dataclass(frozen=True)
 class _Analysis:
     """What the module knows about the cone generated by vecs (cleaned).
 
-    ``facets`` are in span coordinates.  A full-dimensional cone is pointed
-    exactly when its facet normals span: any lineality would force every
-    valid inequality into its annihilator.
+    ``facets`` are in span coordinates, and ``incidence[f]`` has bit i set
+    when vecs[i] lies on facet f.  The cone is pointed exactly when no
+    generator lies on every facet: the lineality space is the smallest face,
+    the intersection of the facets (everything when there are none), and
+    like every face it is generated by the generators in it.
     """
 
     ambient_rank: int
@@ -141,16 +180,24 @@ class _Analysis:
     basis: IntMatrix  # saturated basis of the lattice points in the span, as columns
     coords: tuple[tuple[int, ...], ...]  # vecs in basis coordinates
     facets: tuple[tuple[int, ...], ...]
-    pointed: bool
+    incidence: tuple[int, ...]
+
+    @cached_property
+    def pointed(self) -> bool:
+        common = (1 << len(self.vecs)) - 1
+        for z in self.incidence:
+            common &= z
+        return not common
 
     @cached_property
     def cone(self) -> Cone:
-        """For a pointed cone, the extreme generators: those on d - 1
-        independent facets."""
-        d = self.basis.cols
+        """For a pointed cone, the extreme generators: those whose set of
+        facets is contained in no other generator's (generators are distinct
+        and primitive, and a ray of a pointed cone is the intersection of the
+        facets through it)."""
+        on = [sum(1 << f for f, z in enumerate(self.incidence) if z >> i & 1) for i in range(len(self.vecs))]
         return Cone(self.ambient_rank, tuple(
-            v for v, c in zip(self.vecs, self.coords)
-            if rank(IntMatrix.from_rows([f for f in self.facets if _dot(f, c) == 0], cols=d)) == d - 1
+            v for v, s in zip(self.vecs, on) if sum(t & s == s for t in on) == 1
         ))
 
     @cached_property
@@ -166,16 +213,15 @@ class _Analysis:
 
     @cached_property
     def faces(self) -> tuple[Cone, ...]:
-        """Faces of the cone whose rays are vecs; see faces()."""
-        facet_sets = [frozenset(r for r in self.vecs if _dot(g, r) == 0) for g in self.dual_generators]
-        found = {frozenset(self.vecs)}
-        frontier = set(facet_sets)
+        """Faces of the cone whose rays are vecs, see faces(): the closure of
+        the facets' generator sets under intersection, as bitmasks.  The zero
+        face is the intersection of all facets."""
+        found = {(1 << len(self.vecs)) - 1}
+        frontier = set(self.incidence)
         while frontier:
             found |= frontier
-            frontier = {a & b for a in frontier for b in facet_sets if a & b not in found}
-        if self.vecs:
-            found.add(frozenset())  # the zero face: intersection of all facets
-        out = (Cone(self.ambient_rank, tuple(sorted(rs))) for rs in found)
+            frontier = {a & b for a in frontier for b in self.incidence} - found
+        out = (Cone(self.ambient_rank, tuple(v for i, v in enumerate(self.vecs) if z >> i & 1)) for z in found)
         return tuple(sorted(out, key=lambda f: (len(f.rays), f.rays)))
 
 
@@ -184,9 +230,8 @@ def _analyse(ambient_rank: int, vecs: tuple[tuple[int, ...], ...]) -> _Analysis:
     ann = kernel_basis(IntMatrix.from_rows(vecs, cols=ambient_rank))
     basis = kernel_basis(ann.transpose())
     coords = tuple(lattice_coordinates(basis, IntMatrix.from_cols(vecs, rows=ambient_rank)).columns())
-    facets = _facet_normals(coords, basis.cols)
-    pointed = rank(IntMatrix.from_rows(facets, cols=basis.cols)) == basis.cols
-    return _Analysis(ambient_rank, vecs, tuple(sorted(ann.columns())), basis, coords, facets, pointed)
+    facets, incidence = _facet_normals(coords, basis.cols)
+    return _Analysis(ambient_rank, vecs, tuple(sorted(ann.columns())), basis, coords, facets, incidence)
 
 
 def _of(c: Cone) -> _Analysis:
@@ -231,7 +276,7 @@ def dual_cone(c: Cone) -> Cone | NonPointedCone:
 def contains(c: Cone, v: Sequence[int]) -> bool:
     """Exact membership: v pairs nonnegatively with every dual generator and
     pairs to zero with the dual lineality (so v lies in the span of c)."""
-    v = tuple(int(x) for x in v)
+    v = int_vector(v)
     if len(v) != c.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
     a = _of(c)

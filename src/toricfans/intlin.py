@@ -28,8 +28,14 @@ class NotInLattice(ValueError):
 def _as_int(x) -> int:
     # bools are ints in Python; reject them so shapes of mistakes stay visible
     if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"matrix entries must be ints, got {x!r}")
+        raise TypeError(f"entries must be ints, got {x!r}")
     return x
+
+
+def int_vector(v: Iterable) -> tuple[int, ...]:
+    """The entries of v as a tuple, refusing with TypeError any that is not
+    an int (bools included), as from_rows does, instead of truncating it."""
+    return tuple(_as_int(x) for x in v)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cone import NotPointed, cone_from_rays, intersection, is_face, primitivize
+from .cone import NotPointed, cone_from_rays, intersection, is_face
 from .diagram import TightDiagram
 from .intlin import (
     IntMatrix,
     cokernel_invariants,
+    int_vector,
     invariant_factors,
+    primitivize,
     rank,
     solve_left,
 )
@@ -39,20 +41,21 @@ class RaysDoNotSpan(ValueError):
 
 @dataclass(frozen=True)
 class Fan:
-    """Rays by value, maximal cones by ray index; construction checks shapes."""
+    """Rays by value, maximal cones by ray index; construction checks shapes
+    and refuses entries that are not ints with TypeError."""
 
     lattice_rank: int
     rays: tuple[tuple[int, ...], ...]
     maximal_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in r) for r in self.rays)
+        rays = tuple(int_vector(r) for r in self.rays)
         for r in rays:
             if len(r) != self.lattice_rank:
                 raise ValueError("ray length does not match the lattice rank")
         cones = []
         for ixs in self.maximal_cones:
-            out = tuple(sorted({int(i) for i in ixs}))
+            out = tuple(sorted(set(int_vector(ixs))))
             if any(i < 0 or i >= len(rays) for i in out):
                 raise ValueError("maximal cone references a ray that does not exist")
             cones.append(out)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented from scratch, without calling the
 library paths under test: fraction-free elimination for ranks and
-determinants, minor gcds for saturation, subset search for supporting
-functionals, and Caratheodory search for cone membership.
+determinants, minor gcds for saturation, subset search for facets and
+supporting functionals, closures of ray subsets for faces, and Caratheodory
+search for cone membership.
 """
 
 from __future__ import annotations
@@ -178,3 +179,57 @@ def _independent_rows(cols, size):
         if bareiss_det(m) != 0:
             return row_idx
     return None
+
+
+def _primitive(v):
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return tuple(x // g for x in v) if g else tuple(v)
+
+
+def kernel_line(rows, dim):
+    """Primitive generator of the kernel of dim - 1 integer rows in Q^dim, by
+    cofactors (the generalized cross product), or None when the rows are
+    dependent and the kernel is more than a line."""
+    n = [(-1) ** j * bareiss_det([[r[c] for c in range(dim) if c != j] for r in rows]) for j in range(dim)]
+    return _primitive(n) if any(n) else None
+
+
+def subset_facets(coords, dim):
+    """Facet normals of the cone generated by coords, which span Q^dim, by
+    trying every hyperplane through dim - 1 of them: it supports a facet when
+    the generators sit weakly on one side.  Primitive, sorted."""
+    if dim == 0:
+        return ()
+    out = set()
+    for subset in combinations(coords, dim - 1):
+        n = kernel_line(subset, dim)
+        if n is None:
+            continue
+        values = [dot(n, c) for c in coords]
+        if all(v >= 0 for v in values):
+            out.add(n)
+        elif all(v <= 0 for v in values):
+            out.add(tuple(-x for x in n))
+    return tuple(sorted(out))
+
+
+def extreme_generators(gens, facets, dim):
+    """Generators of a pointed cone in Q^dim, with the given facet normals,
+    that lie on dim - 1 independent facets."""
+    return [g for g in gens if fraction_free_rank([f for f in facets if dot(f, g) == 0]) == dim - 1]
+
+
+def face_ray_sets(gens, facets):
+    """Faces of the pointed cone whose extreme rays are gens, as frozensets of
+    rays: the closure of every subset of rays, i.e. the rays on every facet
+    that holds the whole subset."""
+    on = {g: frozenset(i for i, f in enumerate(facets) if dot(f, g) == 0) for g in gens}
+    everything = frozenset(range(len(facets)))
+    found = set()
+    for size in range(len(gens) + 1):
+        for subset in combinations(gens, size):
+            through = everything.intersection(*(on[g] for g in subset))
+            found.add(frozenset(g for g in gens if on[g] >= through))
+    return found

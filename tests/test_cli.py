@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from toricfans import cli as cli_module
 from toricfans import diagram as diagram_module
 from toricfans import documents
-from toricfans.cli import main, run
+from toricfans.cli import build_parser, main, run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 QUADRANT_DIAGRAM = str(FIXTURES / "quadrant-face-diagram.json")
@@ -484,6 +485,45 @@ def test_every_emission_is_a_loadable_document(capsys):
     ):
         _, out, _ = invoke(argv, capsys)
         documents.loads(out)
+
+
+def _calls_on_fresh_streams(monkeypatch, sequence):
+    """(exit code, stdout, stderr) of each main() call, each on new streams."""
+    results = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        results.append((code, out.getvalue(), err.getvalue()))
+    return results
+
+
+def test_one_parser_serves_calls_like_fresh_ones(monkeypatch):
+    # the parser is built once per process; each call must still parse from
+    # scratch and write to the streams current at that call
+    sequence = [
+        ["check", "--which", "smooth", "--input", A1_FAN],
+        ["check", "--input", A1_FAN],  # usage error: --which is required
+        ["validate", "--input", QUADRANT_DIAGRAM],
+        ["--help"],
+        ["colimit", "--input", OCTANT],
+        ["nonsense"],
+        ["check", "--help"],
+        ["validate", "--input", DOUBLED_PLANE],
+    ]
+    cli_module._parser.cache_clear()
+    shared = _calls_on_fresh_streams(monkeypatch, sequence)
+    assert cli_module._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli_module, "_parser", build_parser)
+    fresh = _calls_on_fresh_streams(monkeypatch, sequence)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, ("exit", 2), 0, ("exit", 0), 0, ("exit", 2), ("exit", 0), 1]
+    assert "the following arguments are required: --which" in shared[1][2]
+    assert shared[3][1].startswith("usage: toricfans") and shared[3][2] == ""
 
 
 def test_run_raises_system_exit(capsys):

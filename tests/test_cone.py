@@ -1,5 +1,7 @@
 """Cone construction, duality, faces and supporting functionals."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, assume, strategies as st
 
@@ -21,7 +23,13 @@ from toricfans.cone import (
 )
 from toricfans.intlin import IntMatrix
 
-from oracles import caratheodory_member
+from oracles import (
+    caratheodory_member,
+    extreme_generators,
+    face_ray_sets,
+    fraction_free_rank,
+    subset_facets,
+)
 
 
 QUADRANT = cone_from_rays(2, [(1, 0), (0, 1)])
@@ -197,6 +205,23 @@ def test_each_generator_set_is_analysed_once(generators, analyses):
     assert cone_module._analyse.cache_info().misses == analyses
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: contains(QUADRANT, (-0.5, 1)),
+        lambda: contains(QUADRANT, (True, 0)),
+        lambda: cone_from_rays(2, [(1.5, 0), (0, 1)]),
+        lambda: cone_from_rays(2, [(True, 0), (0, 1)]),
+        lambda: cone_dual_of_generated(2, [(1.0, 0), (0, 1)]),
+    ],
+    ids=["contains-float", "contains-bool", "rays-float", "rays-bool", "dual-integral-float"],
+)
+def test_non_int_entries_are_refused(call):
+    # int() would truncate them: (-0.5, 1) would lie in the quadrant
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_intersection_of_wedges():
     other = cone_from_rays(2, [(1, 1), (0, 1)])
     met = intersection(WEDGE, other)
@@ -283,3 +308,81 @@ def test_intersection_properties(vs, ws):
         assert contains(a, r) and contains(b, r)
     for f in faces(a):
         assert intersection(a, f) == f
+
+
+def _paraboloid(d, n):
+    """n lattice points (1, a, |a|^2) with a in Z^(d-2): all extreme rays."""
+    points = ((1, *a, sum(x * x for x in a)) for a in product(range(-2, 3), repeat=d - 2))
+    return sorted(points, key=lambda p: (p[-1], p))[:n]
+
+
+def _check_against_subset_oracle(ambient_rank, generators):
+    vecs = cone_module._clean_generators(ambient_rank, generators)
+    a = cone_module._analyse(ambient_rank, vecs)
+    dim = a.basis.cols
+    facets = subset_facets(a.coords, dim)
+    assert a.facets == facets
+    assert a.incidence == tuple(
+        sum(1 << i for i, c in enumerate(a.coords) if sum(x * y for x, y in zip(f, c)) == 0)
+        for f in facets
+    )
+    assert a.pointed == (fraction_free_rank(facets) == dim)
+    if not a.pointed:
+        return
+    extreme = extreme_generators(a.coords, facets, dim)
+    assert a.cone.rays == tuple(v for v, c in zip(vecs, a.coords) if c in extreme)
+    b = cone_module._analyse(ambient_rank, a.cone.rays)
+    ray_of = dict(zip(b.coords, b.vecs))
+    expected = face_ray_sets(list(b.coords), subset_facets(b.coords, dim))
+    assert sorted(f.rays for f in b.faces) == sorted(tuple(sorted(ray_of[c] for c in s)) for s in expected)
+    assert [f.rays for f in b.faces] == sorted((f.rays for f in b.faces), key=lambda r: (len(r), r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors)
+def test_analysis_matches_subset_enumeration(vecs):
+    _check_against_subset_oracle(3, vecs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(*([st.integers(-3, 3)] * 2)), min_size=1, max_size=6),
+    st.tuples(*([st.integers(-3, 3)] * 4)),
+    st.tuples(*([st.integers(-3, 3)] * 4)),
+)
+def test_analysis_of_non_spanning_generators_matches_subset_enumeration(weights, u, w):
+    # combinations of two vectors of Z^4: the generators span at most a plane
+    _check_against_subset_oracle(4, [tuple(a * x + b * y for x, y in zip(u, w)) for a, b in weights])
+
+
+# in rank 4 a zero set of two generators, like a line, can hold more than
+# two normals, so adjacency needs more than counting shared generators
+vectors4 = st.lists(st.tuples(*([st.integers(min_value=-1, max_value=1)] * 4)), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors4)
+def test_rank_4_analysis_matches_subset_enumeration(vecs):
+    _check_against_subset_oracle(4, vecs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(vectors, vectors4))
+def test_analysis_of_generators_with_a_line_matches_subset_enumeration(vecs):
+    # the first generator and its negative: the generated cone is not pointed
+    _check_against_subset_oracle(len(vecs[0]), [*vecs, tuple(-x for x in vecs[0])])
+
+
+@pytest.mark.parametrize("d, n", [(5, 8), (6, 12), (7, 12)])
+def test_paraboloid_analysis_matches_subset_enumeration(d, n):
+    points = _paraboloid(d, n)
+    assert cone_from_rays(d, points).rays == tuple(sorted(points))
+    _check_against_subset_oracle(d, points)
+
+
+def test_adjacency_is_more_than_counting_shared_generators():
+    # two normals sharing d - 2 = 2 generators that are not adjacent: their
+    # combination (1, 2, 1, -4) is no facet
+    gens = [(-1, 1, -1, 0), (0, -1, -1, -1), (0, -1, 0, -1), (0, 1, -1, 0),
+            (1, -1, 1, -1), (1, -1, 1, 0), (1, 0, -1, 0)]
+    _check_against_subset_oracle(4, gens)

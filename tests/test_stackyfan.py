@@ -97,6 +97,23 @@ def test_fan_construction_rejects_bad_indices():
         Fan(2, ((1, 0, 0),), ((0,),))
 
 
+@pytest.mark.parametrize(
+    "rays, cones",
+    [
+        (((1.7,),), ((0.2,),)),
+        (((1,),), ((0.0,),)),
+        (((1, 0), (0, 1.0)), ((0, 1),)),
+        (((True, 0),), ((0,),)),
+        (((1, 0),), ((False,),)),
+    ],
+    ids=["float-ray-and-index", "integral-float-index", "integral-float-ray", "bool-ray", "bool-index"],
+)
+def test_fan_construction_refuses_non_int_entries(rays, cones):
+    # int() would truncate them: ray (1.7,) would become (1,) and index 0.2 would be 0
+    with pytest.raises(TypeError):
+        Fan(len(rays[0]), rays, cones)
+
+
 def test_stacky_fan_requires_finite_cokernel():
     with pytest.raises(InfiniteCokernel):
         StackyFan(QUADRANT_FAN, IntMatrix.from_rows([(1, 0), (0, 0)], cols=2), 2)
