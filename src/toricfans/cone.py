@@ -10,7 +10,8 @@ decided on the normals' zero sets alone.  Each facet keeps the generators
 lying on it as an int bitmask, and the extreme rays and the faces are read
 off that incidence.  Each set of generators is analysed once into one
 record behind one bounded cache, and the public functions only read records
-(a Cone's is that of its rays): span, facets, extreme rays, dual and faces.
+(a Cone's is that of its rays): span, ray coordinates in it, facets,
+extreme rays, dual and faces.
 The dual of a cone spanning a proper subspace contains the annihilator of
 the span as lines and comes back as a NonPointedCone.
 """
@@ -324,6 +325,11 @@ def supporting_functional(c: Cone, f: Cone) -> Functional:
 def span_sublattice(c: Cone) -> IntMatrix:
     """Saturated basis (as columns) of the lattice points in the span of c."""
     return _of(c).basis
+
+
+def ray_coordinates(c: Cone) -> tuple[tuple[int, ...], ...]:
+    """The rays of c, in order, in the coordinates of span_sublattice(c)."""
+    return _of(c).coords
 
 
 def intersection(a: Cone, b: Cone) -> Cone:

@@ -35,12 +35,14 @@ from .cone import (
     NotPointed,
     cone_from_rays,
     faces,
+    ray_coordinates,
     supporting_functional,
 )
 from .errors import InternalError
 from .intlin import (
     IntMatrix,
     NotInLattice,
+    int_vector,
     kernel_basis,
     lattice_coordinates,
     rank,
@@ -355,11 +357,7 @@ def verify_face_embeddings(d: TightDiagram, c: ColimitResult) -> tuple[str, ...]
 
 def _embedded_rays(obj: ToricMonoid, emb: IntMatrix) -> list[tuple[int, ...]]:
     """The object's extreme rays carried into the colimit by its embedding."""
-    if not obj.cone.rays:
-        return []
-    basis = gp(obj)
-    coords = lattice_coordinates(basis, IntMatrix.from_cols(obj.cone.rays, rows=basis.rows))
-    return [emb.apply(coords.col(j)) for j in range(coords.cols)]
+    return [emb.apply(x) for x in ray_coordinates(obj.cone)]
 
 
 def induced_subdiagram(sub: Subdiagram) -> TightDiagram:
@@ -423,7 +421,8 @@ def extend_diagram_functional(
     is >= 0 on every ray of every object and >= 1 on every ray whose colimit
     image lies outside the members' images.
 
-    chi maps member id to coefficients in that member's ambient dual.
+    chi maps member id to int coefficients in that member's ambient dual;
+    floats and bools raise TypeError.
     Raises NotJoinClosed, IncompatibleFamily, NegativeOnSub.
     """
     if mode not in ("arbitrary", "nonneg_positive_away"):
@@ -441,7 +440,7 @@ def extend_diagram_functional(
         raise IncompatibleFamily("family keys do not match the member ids")
     values = {}
     for i in members:
-        coeffs = tuple(int(x) for x in chi[i])
+        coeffs = int_vector(chi[i])
         if len(coeffs) != d.objects[i].lattice_rank:
             raise IncompatibleFamily(f"coefficients for {i!r} have the wrong length")
         values[i] = coeffs

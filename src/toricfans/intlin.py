@@ -4,12 +4,25 @@ Everything in this module works with arbitrary-precision Python ints; there is
 no floating point anywhere.  Matrices are immutable and row-major: an IntMatrix
 with shape (rows, cols) represents a homomorphism Z^cols -> Z^rows acting on
 column vectors.
+
+Each public function builds only the transforms its result reads.  Smith
+reduction and echelon reduction each have one private core with a fixed
+pivot rule, and the transforms ride along on request:
+
+- smith_normal_form builds U and V;
+- kernel_basis builds V only;
+- invariant_factors, rank and cokernel_invariants build neither;
+- lattice_coordinates (and solve_left) build the echelon transform u;
+- complement_summand and saturate build its inverse only.
+
+Products with an identity factor return the other factor unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -36,6 +49,11 @@ def int_vector(v: Iterable) -> tuple[int, ...]:
     """The entries of v as a tuple, refusing with TypeError any that is not
     an int (bools included), as from_rows does, instead of truncating it."""
     return tuple(_as_int(x) for x in v)
+
+
+def _is_identity(a: "IntMatrix") -> bool:
+    n = a.cols
+    return a.rows == n and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(a.entries))
 
 
 @dataclass(frozen=True)
@@ -106,19 +124,22 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The product; an identity factor gives back the other factor itself,
+        which is safe because matrices are immutable."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
+        ot = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
+        data = tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self.entries)
         return IntMatrix(self.rows, other.cols, data)
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -190,17 +211,29 @@ def _find_pivot(a, t, m, n):
     return where
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form by pivot/gcd reduction with a fixed pivot rule.
+def _eye(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    Returns (U, D, V) with U @ a @ V == D.  Deterministic: the pivot is always
-    the smallest nonzero absolute value of the working submatrix, ties broken
-    by lowest row then column index.
+
+def _freeze(rows, cols):
+    return IntMatrix(len(rows), cols, tuple(tuple(r) for r in rows))
+
+
+def _smith(a: IntMatrix, left: bool, right: bool):
+    """Reduce a to Smith form by pivot/gcd steps with a fixed pivot rule.
+
+    Returns (u, w, v) as lists of rows with u @ a @ v == w; u is None unless
+    left is asked for, v None unless right is.  The pivot is always the
+    smallest nonzero absolute value of the working submatrix, ties broken by
+    lowest row then column index; the steps read w alone, so they are the
+    same whichever transforms are built.
     """
     m, n = a.rows, a.cols
     w = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = _eye(m) if left else None
+    v = _eye(n) if right else None
+    by_rows = (w, u) if left else (w,)
+    by_cols = (w, v) if right else (w,)
     t = 0
     limit = min(m, n)
     while t < limit:
@@ -209,19 +242,19 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             break
         i, j = where
         if i != t:
-            _swap_rows(w, t, i)
-            _swap_rows(u, t, i)
+            for x in by_rows:
+                _swap_rows(x, t, i)
         if j != t:
-            _swap_cols(w, t, j)
-            _swap_cols(v, t, j)
+            for x in by_cols:
+                _swap_cols(x, t, j)
         p = w[t][t]
         dirty = False
         for i in range(t + 1, m):
             if w[i][t]:
                 q = w[i][t] // p
                 if q:
-                    _add_row(w, i, t, -q)
-                    _add_row(u, i, t, -q)
+                    for x in by_rows:
+                        _add_row(x, i, t, -q)
                 if w[i][t]:
                     dirty = True
         if dirty:
@@ -230,46 +263,57 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             if w[t][j]:
                 q = w[t][j] // p
                 if q:
-                    _add_col(w, j, t, -q)
-                    _add_col(v, j, t, -q)
+                    for x in by_cols:
+                        _add_col(x, j, t, -q)
                 if w[t][j]:
                     dirty = True
         if dirty:
             continue
-        # row and column t are clear; force the divisibility chain
+        # row and column t are clear; force the divisibility chain (a unit
+        # pivot divides everything)
         bad = None
-        for i in range(t + 1, m):
-            row = w[i]
-            for j in range(t + 1, n):
-                if row[j] % p:
-                    bad = i
+        if p != 1 and p != -1:
+            for i in range(t + 1, m):
+                row = w[i]
+                for j in range(t + 1, n):
+                    if row[j] % p:
+                        bad = i
+                        break
+                if bad is not None:
                     break
-            if bad is not None:
-                break
         if bad is not None:
-            _add_row(w, t, bad, 1)
-            _add_row(u, t, bad, 1)
+            for x in by_rows:
+                _add_row(x, t, bad, 1)
             continue
         if w[t][t] < 0:
-            _negate_row(w, t)
-            _negate_row(u, t)
+            for x in by_rows:
+                _negate_row(x, t)
         t += 1
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return SmithDecomposition(
-        IntMatrix(m, m, freeze(u)),
-        IntMatrix(m, n, freeze(w)),
-        IntMatrix(n, n, freeze(v)),
-    )
+    return u, w, v
+
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form by pivot/gcd reduction with a fixed pivot rule.
+
+    Returns (U, D, V) with U @ a @ V == D, building both transforms; the
+    other public functions run the same reduction and build only what they
+    read: kernel_basis builds V alone, and invariant_factors, rank and
+    cokernel_invariants build neither.  Deterministic: the pivot is always
+    the smallest nonzero absolute value of the working submatrix, ties
+    broken by lowest row then column index.
+    """
+    u, w, v = _smith(a, True, True)
+    return SmithDecomposition(_freeze(u, a.rows), _freeze(w, a.cols), _freeze(v, a.cols))
+
+
+def _diagonal(a: IntMatrix, w) -> tuple[int, ...]:
+    """The nonzero diagonal entries of w, a's reduced Smith form."""
+    return tuple(x for x in (w[i][i] for i in range(min(a.rows, a.cols))) if x)
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    d = smith_normal_form(a).d
-    out = []
-    for i in range(min(a.rows, a.cols)):
-        if d.entries[i][i]:
-            out.append(d.entries[i][i])
-    return tuple(out)
+    return _diagonal(a, _smith(a, False, False)[1])
 
 
 def rank(a: IntMatrix) -> int:
@@ -291,25 +335,25 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     The returned columns span a saturated sublattice: they are part of a basis
     of Z^cols (trailing columns of the unimodular V of the Smith form).
     """
-    u, d, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(a.rows, a.cols)) if d.entries[i][i])
-    cols = [v.col(j) for j in range(r, a.cols)]
-    return IntMatrix.from_cols(cols, rows=a.cols)
+    _, w, v = _smith(a, False, True)
+    r = len(_diagonal(a, w))
+    return IntMatrix(a.cols, a.cols - r, tuple(tuple(row[r:]) for row in v))
 
 
-def _row_echelon_transform(a: IntMatrix):
+def _row_echelon_transform(a: IntMatrix, inverse: bool):
     """Row reduce a to echelon form by unimodular row operations.
 
-    Returns (u, uinv, echelon, pivots) with u @ a == echelon, u @ uinv == I and
-    pivots the list of (row, col) pivot positions, pivot values positive.
+    Returns (t, echelon, pivots) with pivots the list of (row, col) pivot
+    positions, pivot values positive.  t is the transform u with
+    u @ a == echelon, or, when inverse is asked for, the transpose of u^-1
+    (its rows are the columns of u^-1); only that one is built.
     Deterministic: within each column the row with the smallest nonzero
     absolute value (lowest index on ties) is reduced against until one
     survivor remains.
     """
     m, n = a.rows, a.cols
     w = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    t = _eye(m)
     pivots = []
     top = 0
     for j in range(n):
@@ -320,8 +364,7 @@ def _row_echelon_transform(a: IntMatrix):
             best = min(live, key=lambda i: (abs(w[i][j]), i))
             if best != top:
                 _swap_rows(w, top, best)
-                _swap_rows(u, top, best)
-                _swap_cols(uinv, top, best)
+                _swap_rows(t, top, best)
             done = True
             p = w[top][j]
             for i in range(top + 1, m):
@@ -329,26 +372,20 @@ def _row_echelon_transform(a: IntMatrix):
                     q = w[i][j] // p
                     if q:
                         _add_row(w, i, top, -q)
-                        _add_row(u, i, top, -q)
-                        _add_col(uinv, top, i, q)
+                        if inverse:  # u^-1 gains q times its column i in column top
+                            _add_row(t, top, i, q)
+                        else:
+                            _add_row(t, i, top, -q)
                     if w[i][j]:
                         done = False
             if done:
                 if w[top][j] < 0:
                     _negate_row(w, top)
-                    _negate_row(u, top)
-                    for row in uinv:
-                        row[top] = -row[top]
+                    _negate_row(t, top)
                 pivots.append((top, j))
                 top += 1
                 break
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return (
-        IntMatrix(m, m, freeze(u)),
-        IntMatrix(m, m, freeze(uinv)),
-        IntMatrix(m, n, freeze(w)),
-        pivots,
-    )
+    return _freeze(t, m), _freeze(w, n), pivots
 
 
 def saturate(b: IntMatrix) -> IntMatrix:
@@ -356,10 +393,10 @@ def saturate(b: IntMatrix) -> IntMatrix:
 
     The columns of b must be linearly independent.
     """
-    _, uinv, _, pivots = _row_echelon_transform(b)
+    uinv_t, _, pivots = _row_echelon_transform(b, True)
     if len(pivots) != b.cols:
         raise DependentColumns("columns are linearly dependent")
-    return IntMatrix.from_cols([uinv.col(i) for i in range(len(pivots))], rows=b.rows)
+    return IntMatrix.from_cols(uinv_t.entries[: len(pivots)], rows=b.rows)
 
 
 def complement_summand(b: IntMatrix) -> IntMatrix:
@@ -370,12 +407,12 @@ def complement_summand(b: IntMatrix) -> IntMatrix:
     u @ b = [T; 0]: the complement is the trailing columns of u^-1, which
     together with a basis of S form a unimodular matrix.
     """
-    _, uinv, ech, pivots = _row_echelon_transform(b)
+    uinv_t, ech, pivots = _row_echelon_transform(b, True)
     r = len(pivots)
     t = IntMatrix.from_rows([ech.row(i) for i in range(r)], cols=b.cols)
     if invariant_factors(t) != tuple([1] * r):
         raise NotSaturated("column lattice is not saturated")
-    return IntMatrix.from_cols([uinv.col(i) for i in range(r, b.rows)], rows=b.rows)
+    return IntMatrix.from_cols(uinv_t.entries[r:], rows=b.rows)
 
 
 def lattice_coordinates(basis: IntMatrix, target: IntMatrix) -> IntMatrix:
@@ -386,7 +423,7 @@ def lattice_coordinates(basis: IntMatrix, target: IntMatrix) -> IntMatrix:
     """
     if basis.rows != target.rows:
         raise ValueError("row count mismatch")
-    u, _, ech, pivots = _row_echelon_transform(basis)
+    u, ech, pivots = _row_echelon_transform(basis, False)
     if len(pivots) != basis.cols:
         raise DependentColumns("columns are linearly dependent")
     rhs = u @ target

@@ -24,7 +24,7 @@ from .intlin import (
     IntMatrix,
     complement_summand,
     invariant_factors,
-    kernel_basis,
+    rank,
     solve_left,
 )
 
@@ -111,7 +111,7 @@ def verify_face_morphism(f: FaceMorphism) -> tuple[str, ...]:
     "image not a face", "not saturated", "face not proper".
     """
     violations = []
-    if kernel_basis(f.map).cols != 0:
+    if rank(f.map) != f.map.cols:
         violations.append("not injective")
         return tuple(violations)
     img = image_cone(f)

@@ -1,8 +1,8 @@
 """Independent oracle computations used by the test suite.
 
 Everything here is deliberately implemented from scratch, without calling the
-library paths under test: fraction-free elimination for ranks and
-determinants, minor gcds for saturation, subset search for facets and
+library paths under test: the triple-loop matrix product, fraction-free
+elimination for ranks and determinants, minor gcds for saturation, subset search for facets and
 supporting functionals, closures of ray subsets for faces, and Caratheodory
 search for cone membership.
 """
@@ -11,6 +11,22 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+
+
+def matrix_product(a, b, cols):
+    """Product of the matrices with rows a and rows b, by the triple loop over
+    entry tuples; cols is the column count of b, which its rows cannot tell
+    when it has none."""
+    out = []
+    for row in a:
+        new = []
+        for j in range(cols):
+            acc = 0
+            for k in range(len(row)):
+                acc += row[k] * b[k][j]
+            new.append(acc)
+        out.append(tuple(new))
+    return tuple(out)
 
 
 def bareiss_det(rows):

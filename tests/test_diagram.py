@@ -304,6 +304,15 @@ def test_extend_rejects_negative_family_in_positive_mode():
         extend_diagram_functional(d, sub, chi, "nonneg_positive_away")
 
 
+@pytest.mark.parametrize("bad", [(0.2, 1.7), (True, 0), (0, 1.0)])
+def test_extend_refuses_non_int_coefficients(bad):
+    # int() would truncate (0.2, 1.7) to (0, 1) and read True as 1
+    d = face_diagram(QUADRANT)
+    sub = Subdiagram(d, frozenset({ZERO, E2_RAY}))
+    with pytest.raises(TypeError):
+        extend_diagram_functional(d, sub, {ZERO: (0, 0), E2_RAY: bad})
+
+
 def test_extend_rejects_unknown_mode():
     d = face_diagram(QUADRANT)
     sub = Subdiagram(d, frozenset({ZERO}))

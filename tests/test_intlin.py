@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from toricfans.intlin import (
     DependentColumns,
@@ -16,8 +18,9 @@ from toricfans.intlin import (
     rank,
     saturate,
     smith_normal_form,
+    _row_echelon_transform,
 )
-from oracles import bareiss_det, fraction_free_rank, maximal_minor_gcd
+from oracles import bareiss_det, fraction_free_rank, matrix_product, maximal_minor_gcd
 
 
 def M(rows, cols=None):
@@ -205,3 +208,97 @@ def test_saturate_and_complement_properties(a):
     assert c.cols == a.rows - a.cols
     square = s.hstack(c)
     assert abs(bareiss_det(square.entries)) == 1
+
+
+def _shaped(m, n, entries):
+    return st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m
+    ).map(lambda rows: IntMatrix.from_rows(rows, cols=n))
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two composable matrices, 0-row and 0-column shapes included, with an
+    identity on the left, on the right, on both sides or on neither."""
+    m, k, n = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    left, right = draw(st.booleans()), draw(st.booleans())
+    entries = st.integers(min_value=-30, max_value=30)
+    a = IntMatrix.identity(k) if left else draw(_shaped(m, k, entries))
+    b = IntMatrix.identity(k) if right else draw(_shaped(k, n, entries))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_pairs())
+def test_product_against_triple_loop_oracle(pair):
+    a, b = pair
+    p = a @ b
+    assert (p.rows, p.cols) == (a.rows, b.cols)
+    assert p.entries == matrix_product(a.entries, b.entries, b.cols)
+
+
+PINNED = [
+    M([[2, 4], [6, 8]]),
+    IntMatrix.identity(3),
+    IntMatrix.zeros(2, 3),
+    IntMatrix.zeros(0, 0),
+    IntMatrix.zeros(0, 3),
+    IntMatrix.zeros(3, 0),
+    M([[4, 7, 2], [0, -3, 6]]),
+    IntMatrix.from_cols([(2, 0)], rows=2),
+    M([[2, 0], [0, 3]]),
+    M([[1, 1]]),
+    M([[1, 2], [2, 4]]),
+    M([[0, -6, 4], [10, 0, -15], [-6, 9, 0]]),
+]
+
+
+def _agrees_with_full_smith(a):
+    # every transform-free question reads the same pivot sequence as the full decomposition
+    u, d, v = smith_normal_form(a)
+    diag = tuple(x for x in (d.entries[i][i] for i in range(min(a.rows, a.cols))) if x)
+    r = len(diag)
+    assert invariant_factors(a) == diag
+    assert rank(a) == r
+    assert cokernel_invariants(a) == (a.rows - r, tuple(x for x in diag if x > 1))
+    k = kernel_basis(a)
+    assert (k.rows, k.cols) == (a.cols, a.cols - r)
+    assert k.columns() == [v.col(j) for j in range(r, a.cols)]
+
+
+@pytest.mark.parametrize("a", PINNED)
+def test_pivot_rule_is_shared_pinned(a):
+    _agrees_with_full_smith(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_pivot_rule_is_shared(a):
+    _agrees_with_full_smith(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_echelon_transform_and_its_inverse_share_one_reduction(a):
+    u, ech, pivots = _row_echelon_transform(a, False)
+    uinv_t, ech2, pivots2 = _row_echelon_transform(a, True)
+    assert (ech2, pivots2) == (ech, pivots)
+    assert u @ a == ech
+    assert u @ uinv_t.transpose() == IntMatrix.identity(a.rows)
+
+
+def _sympy_factors(a):
+    # sympy pads with zeros up to min(rows, cols); 1.14 also takes the empty shapes
+    theirs = sympy_invariant_factors(Matrix(a.rows, a.cols, [x for r in a.entries for x in r]), domain=ZZ)
+    return tuple(int(x) for x in theirs if x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_invariant_factors_against_sympy(a):
+    assert invariant_factors(a) == _sympy_factors(a)
+
+
+@pytest.mark.parametrize("a", PINNED)
+def test_invariant_factors_against_sympy_pinned(a):
+    assert invariant_factors(a) == _sympy_factors(a)
