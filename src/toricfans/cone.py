@@ -11,7 +11,10 @@ lying on it as an int bitmask, and the extreme rays and the faces are read
 off that incidence.  Each set of generators is analysed once into one
 record behind one bounded cache, and the public functions only read records
 (a Cone's is that of its rays): span, ray coordinates in it, facets,
-extreme rays, dual and faces.
+extreme rays, dual and faces.  The record keeps the faces as a set of
+bitmasks over the rays (the facets' closure under intersection), so
+is_face is a lookup and face_join an AND of facets; subcone reads a cone
+generated by some of the rays off them with no analysis at all.
 The dual of a cone spanning a proper subspace contains the annihilator of
 the span as lines and comes back as a NonPointedCone.
 """
@@ -25,11 +28,13 @@ from typing import Sequence
 from .errors import InternalError
 from .intlin import (
     IntMatrix,
+    ReducedBasis,
     complement_summand,
     int_vector,
     kernel_basis,
     lattice_coordinates,
     primitivize,
+    reduce_basis,
 )
 
 
@@ -179,6 +184,7 @@ class _Analysis:
     vecs: tuple[tuple[int, ...], ...]
     lineality: tuple[tuple[int, ...], ...]  # sorted annihilator basis of the span
     basis: IntMatrix  # saturated basis of the lattice points in the span, as columns
+    reduced: ReducedBasis  # basis row reduced once, for coordinates in it
     coords: tuple[tuple[int, ...], ...]  # vecs in basis coordinates
     facets: tuple[tuple[int, ...], ...]
     incidence: tuple[int, ...]
@@ -213,26 +219,55 @@ class _Analysis:
         return tuple(sorted(primitivize(tuple(_dot(h, col) for col in zip(*proj))) for h in self.facets))
 
     @cached_property
-    def faces(self) -> tuple[Cone, ...]:
-        """Faces of the cone whose rays are vecs, see faces(): the closure of
-        the facets' generator sets under intersection, as bitmasks.  The zero
-        face is the intersection of all facets."""
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Each generator's position in vecs."""
+        return {v: i for i, v in enumerate(self.vecs)}
+
+    @cached_property
+    def face_masks(self) -> frozenset[int]:
+        """The faces of the cone whose rays are vecs as bitmasks over vecs:
+        the closure of the facets' generator sets under intersection, with
+        the full mask for the cone itself.  The zero face is the
+        intersection of all facets."""
         found = {(1 << len(self.vecs)) - 1}
         frontier = set(self.incidence)
         while frontier:
             found |= frontier
             frontier = {a & b for a in frontier for b in self.incidence} - found
-        out = (Cone(self.ambient_rank, tuple(v for i, v in enumerate(self.vecs) if z >> i & 1)) for z in found)
-        return tuple(sorted(out, key=lambda f: (len(f.rays), f.rays)))
+        return frozenset(found)
+
+    def mask_of(self, rays) -> int | None:
+        """The bitmask of rays over vecs, or None unless they are distinct
+        generators listed in the order of vecs."""
+        mask, last = 0, -1
+        for r in rays:
+            i = self.index.get(r, -1)
+            if i <= last:
+                return None
+            mask |= 1 << i
+            last = i
+        return mask
+
+    def cone_on(self, mask: int) -> Cone:
+        """The Cone whose rays are the generators with their bits set in mask."""
+        return Cone(self.ambient_rank, tuple(v for i, v in enumerate(self.vecs) if mask >> i & 1))
+
+    @cached_property
+    def faces(self) -> tuple[Cone, ...]:
+        """Faces of the cone whose rays are vecs, see faces()."""
+        return tuple(sorted(map(self.cone_on, self.face_masks), key=lambda f: (len(f.rays), f.rays)))
 
 
 @lru_cache(maxsize=2048)
 def _analyse(ambient_rank: int, vecs: tuple[tuple[int, ...], ...]) -> _Analysis:
-    ann = kernel_basis(IntMatrix.from_rows(vecs, cols=ambient_rank))
+    # vecs are clean generators, so the matrix needs no entry check
+    gens = IntMatrix(len(vecs), ambient_rank, vecs)
+    ann = kernel_basis(gens)
     basis = kernel_basis(ann.transpose())
-    coords = tuple(lattice_coordinates(basis, IntMatrix.from_cols(vecs, rows=ambient_rank)).columns())
+    reduced = reduce_basis(basis)
+    coords = tuple(reduced.coordinates(gens.transpose()).columns())
     facets, incidence = _facet_normals(coords, basis.cols)
-    return _Analysis(ambient_rank, vecs, tuple(sorted(ann.columns())), basis, coords, facets, incidence)
+    return _Analysis(ambient_rank, vecs, tuple(sorted(ann.columns())), basis, reduced, coords, facets, incidence)
 
 
 def _of(c: Cone) -> _Analysis:
@@ -298,7 +333,44 @@ def faces(c: Cone) -> tuple[Cone, ...]:
 
 
 def is_face(c: Cone, f: Cone) -> bool:
-    return f in faces(c)
+    """Whether f is one of faces(c), read off the face masks: f's rays must
+    be rays of c, in c's order, and make up a face's mask."""
+    if f.ambient_rank != c.ambient_rank:
+        return False
+    a = _of(c)
+    return a.mask_of(f.rays) in a.face_masks
+
+
+def subcone(c: Cone, generators: Sequence[Sequence[int]]) -> Cone:
+    """The same as cone_from_rays(c.ambient_rank, generators), read off the
+    rays of c with no analysis when every generator is a positive multiple of
+    one of them: any set of extreme rays of a pointed cone is the set of
+    extreme rays of the cone it generates.  Any other input goes to
+    cone_from_rays, which raises its errors.
+    """
+    a = _of(c)
+    mask = 0
+    for g in generators:
+        i = a.index.get(primitivize(int_vector(g)))
+        if i is None:
+            return cone_from_rays(c.ambient_rank, generators)
+        mask |= 1 << i
+    return a.cone_on(mask)
+
+
+def face_join(c: Cone, f: Cone, g: Cone) -> Cone:
+    """The smallest face of c containing the faces f and g of c: the
+    intersection of the facets holding both (c itself when none does).
+    Raises NotAFace when f or g is not a face of c."""
+    if not (is_face(c, f) and is_face(c, g)):
+        raise NotAFace("joined cones are not faces of the cone")
+    a = _of(c)
+    both = a.mask_of(f.rays) | a.mask_of(g.rays)
+    join = (1 << len(a.vecs)) - 1
+    for z in a.incidence:
+        if z & both == both:
+            join &= z
+    return a.cone_on(join)
 
 
 def supporting_functional(c: Cone, f: Cone) -> Functional:
@@ -309,9 +381,9 @@ def supporting_functional(c: Cone, f: Cone) -> Functional:
     on f.  The improper face gets the zero functional.  Raises NotAFace when
     f is not a face of c.
     """
-    a = _of(c)
-    if f not in a.faces:
+    if not is_face(c, f):
         raise NotAFace("second cone is not a face of the first")
+    a = _of(c)
     on_f = [g for g in a.dual_generators if all(_dot(g, r) == 0 for r in f.rays)]
     chi = primitivize(tuple(sum(g[i] for g in on_f) for i in range(c.ambient_rank)))
     face_rays = set(f.rays)
@@ -330,6 +402,13 @@ def span_sublattice(c: Cone) -> IntMatrix:
 def ray_coordinates(c: Cone) -> tuple[tuple[int, ...], ...]:
     """The rays of c, in order, in the coordinates of span_sublattice(c)."""
     return _of(c).coords
+
+
+def span_coordinates(c: Cone, target: IntMatrix) -> IntMatrix:
+    """The columns of target in the coordinates of span_sublattice(c), solved
+    against the basis the record reduced once; raises NotInLattice when
+    one is not in that lattice."""
+    return _of(c).reduced.coordinates(target)
 
 
 def intersection(a: Cone, b: Cone) -> Cone:

@@ -20,6 +20,10 @@ conflicts, the below-sets and maximal ids, the composite image cones, the
 unique maximal common face of each pair (T4), the violations, and, on
 first use, the colimit and the objects' image cones in it.  The cache is
 never refreshed, so a diagram must not be mutated after it is built.
+Face questions go to the cone records' face bitmasks: each composite
+carries a ray map, source ray -> target ray, and its image cone is read
+off that; below-sets are bitmasks over the topological order, so T4 is a
+top-element test; a join inside a parent is an AND of its facets.
 """
 
 from __future__ import annotations
@@ -34,8 +38,12 @@ from .cone import (
     Functional,
     NotPointed,
     cone_from_rays,
+    face_join,
     faces,
+    is_face,
     ray_coordinates,
+    span_coordinates,
+    subcone,
     supporting_functional,
 )
 from .errors import InternalError
@@ -44,7 +52,6 @@ from .intlin import (
     NotInLattice,
     int_vector,
     kernel_basis,
-    lattice_coordinates,
     rank,
     solve_left,
 )
@@ -171,9 +178,7 @@ class DiagramAnalysis:
     def gp_matrix(self, src: str, tgt: str) -> IntMatrix:
         """The composite src -> tgt on gp bases: gp(src) columns expressed in
         gp(tgt) coordinates."""
-        return lattice_coordinates(
-            gp(self.objects[tgt]), self.composites[src][tgt] @ gp(self.objects[src])
-        )
+        return span_coordinates(self.objects[tgt].cone, self.composites[src][tgt] @ gp(self.objects[src]))
 
     @cached_property
     def colimit(self) -> ColimitResult:
@@ -197,12 +202,11 @@ class DiagramAnalysis:
                     col[offsets[m2] : offsets[m2] + widths[m2]] = [-v for v in x2.col(j)]
                     relation_cols.append(tuple(col))
 
-        relations = IntMatrix.from_cols(relation_cols, rows=total)
-        phi = kernel_basis(relations.transpose()).transpose()
+        phi = kernel_basis(IntMatrix(len(relation_cols), total, tuple(relation_cols))).transpose()
         L = phi.rows
 
         embeddings = {
-            m: IntMatrix.from_cols([phi.col(offsets[m] + j) for j in range(widths[m])], rows=L)
+            m: IntMatrix(L, widths[m], tuple(row[offsets[m] : offsets[m] + widths[m]] for row in phi.entries))
             for m in self.maximal_ids
         }
         for i in sorted(self.objects):
@@ -219,8 +223,7 @@ class DiagramAnalysis:
         """Each object's cone inside the colimit lattice."""
         c = self.colimit
         return MappingProxyType({
-            i: cone_from_rays(c.colimit_rank, _embedded_rays(obj, c.embeddings[i]))
-            for i, obj in self.objects.items()
+            i: subcone(c.cone, _embedded_rays(obj, c.embeddings[i])) for i, obj in self.objects.items()
         })
 
 
@@ -229,9 +232,16 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
 
     Composites come from edge-local dynamic programming over reverse
     topological order; agreeing on every one-edge extension is the same as
-    agreeing on all paths.  A face of an object counts as present (T2) when
-    some object's composite image is that face; the object itself stands
-    for its improper face.
+    agreeing on all paths.  Beside each stored composite goes its ray map,
+    source ray index -> target ray index, composed from the edges' maps, or
+    None once some edge sends a ray elsewhere; a composite image is read off
+    its ray map, and only where there is none are the rays' images mapped.
+    A face of an object counts as present (T2) when some object's composite
+    image is that face; the object itself stands for its improper face.
+    Below-sets are also kept as bitmasks over the topological order, which
+    makes T4 a top-element test: a nonempty down-set has a unique maximal
+    element exactly when its last element in that order has all of it
+    below.
     """
     objects = d.objects
     edges = tuple(
@@ -260,30 +270,43 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
         violations.append("T3: the diagram contains a directed morphism cycle")
         return DiagramAnalysis(objects, edges, True, (), {}, (), {}, (), {}, {}, tuple(violations))
 
+    ray_index = {i: {r: k for k, r in enumerate(obj.cone.rays)} for i, obj in objects.items()}
     comp = {i: {} for i in objects}
+    maps = {i: {} for i in objects}  # x -> y -> ray map of comp[x][y], or None
     conflicts = set()
     for x in reversed(order):
         comp[x][x] = IntMatrix.identity(objects[x].lattice_rank)
+        maps[x][x] = tuple(range(len(objects[x].cone.rays)))
         for e in succ[x]:
+            step = tuple(ray_index[e.target_id].get(e.matrix.apply(r)) for r in objects[x].cone.rays)
+            step = None if None in step else step
             for tgt, tail in sorted(comp[e.target_id].items()):
                 candidate = tail @ e.matrix
                 known = comp[x].get(tgt)
                 if known is None:
                     comp[x][tgt] = candidate
+                    tail_map = maps[e.target_id][tgt]
+                    maps[x][tgt] = None if step is None or tail_map is None else tuple(tail_map[k] for k in step)
                 elif known != candidate:
                     conflicts.add(f"T3: parallel composites {x!r}->{tgt!r} disagree")
     conflicts = tuple(sorted(conflicts))
     violations.extend(conflicts)
 
+    position = {i: k for k, i in enumerate(order)}
     below = {i: set() for i in objects}
+    below_mask = dict.fromkeys(objects, 0)
     images = {}
     for x in sorted(objects):
         for p, matrix in comp[x].items():
             below[p].add(x)
+            below_mask[p] |= 1 << position[x]
+            target = objects[p].cone
+            ray_map = maps[x][p]
+            if ray_map is not None:
+                images[x, p] = Cone(target.ambient_rank, tuple(target.rays[k] for k in sorted(set(ray_map))))
+                continue
             try:
-                images[x, p] = cone_from_rays(
-                    objects[p].lattice_rank, [matrix.apply(r) for r in objects[x].cone.rays]
-                )
+                images[x, p] = subcone(target, [matrix.apply(r) for r in objects[x].cone.rays])
             except NotPointed:
                 images[x, p] = None
     below = {i: frozenset(s) for i, s in below.items()}
@@ -298,10 +321,12 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
     meets = {}
     for a_pos, a in enumerate(ids):
         for b in ids[a_pos + 1 :]:
-            maximal = _maximal_among(below[a] & below[b], comp)
-            if len(maximal) == 1:
-                meets[a, b] = maximal[0]
+            common = below_mask[a] & below_mask[b]
+            top = order[common.bit_length() - 1] if common else None
+            if common and common & ~below_mask[top] == 0:
+                meets[a, b] = top
             else:
+                maximal = _maximal_among(below[a] & below[b], comp)
                 violations.append(
                     f"T4: objects {a!r}, {b!r} have {len(maximal)} maximal common faces"
                 )
@@ -347,8 +372,8 @@ def verify_face_embeddings(d: TightDiagram, c: ColimitResult) -> tuple[str, ...]
         if rank(emb) != emb.cols:
             violations.append(f"embedding of {i!r} is not injective")
             continue
-        img = cone_from_rays(c.colimit_rank, _embedded_rays(d.objects[i], emb))
-        if img not in faces(c.cone):
+        img = subcone(c.cone, _embedded_rays(d.objects[i], emb))
+        if not is_face(c.cone, img):
             violations.append(f"image of {i!r} is not a face of the colimit cone")
             continue
         supporting_functional(c.cone, img)
@@ -393,11 +418,7 @@ def is_join_closed(sub: Subdiagram):
     for i, a in enumerate(members):
         for b in members[i:]:
             for p in sorted(comp[a].keys() & comp[b].keys()):
-                joint = set(images[a, p].rays) | set(images[b, p].rays)
-                candidates = [
-                    f for f in faces(d.objects[p].cone) if joint <= set(f.rays)
-                ]
-                join_face = min(candidates, key=lambda f: (len(f.rays), f.rays))
+                join_face = face_join(d.objects[p].cone, images[a, p], images[b, p])
                 realizers = sorted(x for x in analysis.below[p] if images[x, p] == join_face)
                 if not any(x in sub.member_ids for x in realizers):
                     return False, (a, b, realizers[0])

@@ -12,8 +12,14 @@ pivot rule, and the transforms ride along on request:
 - smith_normal_form builds U and V;
 - kernel_basis builds V only;
 - invariant_factors, rank and cokernel_invariants build neither;
-- lattice_coordinates (and solve_left) build the echelon transform u;
+- reduce_basis builds the echelon transform u, once per basis, and
+  ReducedBasis.coordinates solves against it as often as asked;
+  lattice_coordinates (and solve_left) are the two in one call;
 - complement_summand and saturate build its inverse only.
+
+from_rows and from_cols check every entry of what callers hand in; the
+matrices built here from results already computed use the constructor,
+which trusts its entries.
 
 Products with an identity factor return the other factor unchanged.
 """
@@ -396,7 +402,7 @@ def saturate(b: IntMatrix) -> IntMatrix:
     uinv_t, _, pivots = _row_echelon_transform(b, True)
     if len(pivots) != b.cols:
         raise DependentColumns("columns are linearly dependent")
-    return IntMatrix.from_cols(uinv_t.entries[: len(pivots)], rows=b.rows)
+    return IntMatrix(b.cols, b.rows, uinv_t.entries[: len(pivots)]).transpose()
 
 
 def complement_summand(b: IntMatrix) -> IntMatrix:
@@ -409,45 +415,72 @@ def complement_summand(b: IntMatrix) -> IntMatrix:
     """
     uinv_t, ech, pivots = _row_echelon_transform(b, True)
     r = len(pivots)
-    t = IntMatrix.from_rows([ech.row(i) for i in range(r)], cols=b.cols)
+    t = IntMatrix(r, b.cols, ech.entries[:r])
     if invariant_factors(t) != tuple([1] * r):
         raise NotSaturated("column lattice is not saturated")
-    return IntMatrix.from_cols(uinv_t.entries[r:], rows=b.rows)
+    return IntMatrix(b.rows - r, b.rows, uinv_t.entries[r:]).transpose()
+
+
+@dataclass(frozen=True)
+class ReducedBasis:
+    """A basis with independent columns, row reduced once: u @ basis ==
+    echelon, with the (row, col) pivot positions of the echelon form.
+    coordinates solves against it as often as asked."""
+
+    u: IntMatrix
+    echelon: IntMatrix
+    pivots: tuple[tuple[int, int], ...]
+
+    def coordinates(self, target: IntMatrix) -> IntMatrix:
+        """Solve basis @ X == target exactly over Z; raises NotInLattice
+        when some target column is not an integer combination of the basis
+        columns."""
+        if self.u.cols != target.rows:
+            raise ValueError("row count mismatch")
+        ech, pivots = self.echelon.entries, self.pivots
+        rhs = self.u @ target
+        k = len(pivots)
+        out_cols = []
+        for c in range(target.cols):
+            col = [row[c] for row in rhs.entries]
+            x = [0] * k
+            for idx in range(k - 1, -1, -1):
+                i, j = pivots[idx]
+                acc = col[i]
+                for idx2 in range(idx + 1, k):
+                    acc -= ech[i][pivots[idx2][1]] * x[idx2]
+                p = ech[i][j]
+                if acc % p:
+                    raise NotInLattice("target is not in the column lattice")
+                x[idx] = acc // p
+            # consistency on the non-pivot rows
+            for i in range(self.u.rows):
+                acc = sum(ech[i][pivots[idx][1]] * x[idx] for idx in range(k))
+                if acc != col[i]:
+                    raise NotInLattice("target is not in the column span")
+            out_cols.append(x)
+        return IntMatrix(k, target.cols, tuple(tuple(x[i] for x in out_cols) for i in range(k)))
+
+
+def reduce_basis(basis: IntMatrix) -> ReducedBasis:
+    """Row reduce basis once for lattice_coordinates; raises DependentColumns
+    unless its columns are independent."""
+    u, ech, pivots = _row_echelon_transform(basis, False)
+    if len(pivots) != basis.cols:
+        raise DependentColumns("columns are linearly dependent")
+    return ReducedBasis(u, ech, tuple(pivots))
 
 
 def lattice_coordinates(basis: IntMatrix, target: IntMatrix) -> IntMatrix:
     """Solve basis @ X == target exactly over Z.
 
     basis must have independent columns; raises NotInLattice when some target
-    column is not an integer combination of the basis columns.
+    column is not an integer combination of the basis columns.  The same as
+    reduce_basis(basis).coordinates(target).
     """
     if basis.rows != target.rows:
         raise ValueError("row count mismatch")
-    u, ech, pivots = _row_echelon_transform(basis, False)
-    if len(pivots) != basis.cols:
-        raise DependentColumns("columns are linearly dependent")
-    rhs = u @ target
-    k = basis.cols
-    out_cols = []
-    for c in range(target.cols):
-        col = list(rhs.col(c))
-        x = [0] * k
-        for idx in range(k - 1, -1, -1):
-            i, j = pivots[idx]
-            acc = col[i]
-            for idx2 in range(idx + 1, k):
-                acc -= ech.entries[i][pivots[idx2][1]] * x[idx2]
-            p = ech.entries[i][j]
-            if acc % p:
-                raise NotInLattice("target is not in the column lattice")
-            x[idx] = acc // p
-        # consistency on the non-pivot rows
-        for i in range(basis.rows):
-            acc = sum(ech.entries[i][pivots[idx][1]] * x[idx] for idx in range(k))
-            if acc != col[i]:
-                raise NotInLattice("target is not in the column span")
-        out_cols.append(tuple(x))
-    return IntMatrix.from_cols(out_cols, rows=k)
+    return reduce_basis(basis).coordinates(target)
 
 
 def solve_left(rows_matrix: IntMatrix, w: Sequence[int]) -> tuple[int, ...]:

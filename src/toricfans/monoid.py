@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from .cone import (
     Cone,
     Functional,
-    cone_from_rays,
-    faces,
+    is_face,
     span_sublattice,
+    subcone,
     supporting_functional,
 )
 from .errors import InternalError
@@ -99,9 +99,7 @@ def gp(m: ToricMonoid) -> IntMatrix:
 
 def image_cone(f: FaceMorphism) -> Cone:
     """The cone generated by the images of the source's extreme rays."""
-    return cone_from_rays(
-        f.target.lattice_rank, [f.map.apply(r) for r in f.source.cone.rays]
-    )
+    return subcone(f.target.cone, [f.map.apply(r) for r in f.source.cone.rays])
 
 
 def verify_face_morphism(f: FaceMorphism) -> tuple[str, ...]:
@@ -115,7 +113,7 @@ def verify_face_morphism(f: FaceMorphism) -> tuple[str, ...]:
         violations.append("not injective")
         return tuple(violations)
     img = image_cone(f)
-    if img not in faces(f.target.cone):
+    if not is_face(f.target.cone, img):
         violations.append("image not a face")
     s = f.map @ gp(f.source)
     if invariant_factors(s) != tuple([1] * s.cols):

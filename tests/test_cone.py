@@ -1,5 +1,6 @@
 """Cone construction, duality, faces and supporting functionals."""
 
+import random
 from itertools import product
 
 import pytest
@@ -15,13 +16,16 @@ from toricfans.cone import (
     cone_from_rays,
     contains,
     dual_cone,
+    face_join,
     faces,
     intersection,
     is_face,
+    span_coordinates,
     span_sublattice,
+    subcone,
     supporting_functional,
 )
-from toricfans.intlin import IntMatrix
+from toricfans.intlin import IntMatrix, NotInLattice, lattice_coordinates
 
 from oracles import (
     caratheodory_member,
@@ -30,11 +34,13 @@ from oracles import (
     fraction_free_rank,
     subset_facets,
 )
+from randomgen import random_pointed_cone
 
 
 QUADRANT = cone_from_rays(2, [(1, 0), (0, 1)])
 # the A_1 surface cone: dual computed by hand below
 WEDGE = cone_from_rays(2, [(1, 0), (1, 2)])
+OCTANT = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_canonical_form_sorts_and_primitivizes():
@@ -152,6 +158,45 @@ def test_is_face():
     assert is_face(QUADRANT, cone_from_rays(2, []))
     assert not is_face(QUADRANT, cone_from_rays(2, [(1, 1)]))
     assert not is_face(WEDGE, QUADRANT)
+    # the same rays in the wrong order, twice, or in another lattice are no face
+    assert not is_face(QUADRANT, Cone(2, ((1, 0), (0, 1))))
+    assert not is_face(QUADRANT, Cone(2, ((0, 1), (0, 1))))
+    assert not is_face(QUADRANT, Cone(3, ()))
+
+
+def test_subcone_reads_rays_off_the_cone():
+    cone_module._analyse.cache_clear()
+    faces(OCTANT)
+    assert subcone(OCTANT, [(0, 0, 2), (1, 0, 0), (0, 0, 1)]) == Cone(3, ((0, 0, 1), (1, 0, 0)))
+    assert subcone(OCTANT, []) == Cone(3, ())
+    assert cone_module._analyse.cache_info().misses == 1
+    # anything else is cone_from_rays, errors included
+    assert subcone(OCTANT, [(1, 1, 0), (1, 0, 0)]) == cone_from_rays(3, [(1, 1, 0), (1, 0, 0)])
+    with pytest.raises(NotPointed):
+        subcone(OCTANT, [(1, 0, 0), (-1, 0, 0)])
+    with pytest.raises(TypeError):
+        subcone(OCTANT, [(1.0, 0, 0)])
+    with pytest.raises(TypeError):
+        subcone(OCTANT, [(True, 0, 0)])
+    with pytest.raises(ValueError):
+        subcone(OCTANT, [(1, 0)])
+
+
+def test_face_join():
+    e1, e2 = Cone(3, ((1, 0, 0),)), Cone(3, ((0, 1, 0),))
+    assert face_join(OCTANT, e1, e2) == Cone(3, ((0, 1, 0), (1, 0, 0)))
+    assert face_join(OCTANT, e1, Cone(3, ())) == e1
+    assert face_join(WEDGE, Cone(2, ((1, 0),)), Cone(2, ((1, 2),))) == WEDGE
+    with pytest.raises(NotAFace):
+        face_join(OCTANT, e1, Cone(3, ((1, 1, 0),)))
+
+
+def test_span_coordinates_match_lattice_coordinates():
+    c = cone_from_rays(3, [(1, 0, 1), (0, 1, 1)])
+    target = IntMatrix.from_cols([(2, 3, 5), (1, -1, 0)], rows=3)
+    assert span_coordinates(c, target) == lattice_coordinates(span_sublattice(c), target)
+    with pytest.raises(NotInLattice):
+        span_coordinates(c, IntMatrix.from_cols([(1, 0, 0)], rows=3))
 
 
 def test_supporting_functional_values():
@@ -386,3 +431,58 @@ def test_adjacency_is_more_than_counting_shared_generators():
     gens = [(-1, 1, -1, 0), (0, -1, -1, -1), (0, -1, 0, -1), (0, 1, -1, 0),
             (1, -1, 1, -1), (1, -1, 1, 0), (1, 0, -1, 0)]
     _check_against_subset_oracle(4, gens)
+
+
+# random_pointed_cone rejection-samples, so Hypothesis draws its seed only
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_is_face_agrees_with_the_face_list(seed):
+    rng = random.Random(seed)
+    c = random_pointed_cone(rng)
+    n, fs = c.ambient_rank, faces(c)
+    claims = list(fs) + list(faces(random_pointed_cone(rng)))
+    for k in range(len(c.rays) + 1):
+        picked = rng.sample(c.rays, k)
+        claims.append(Cone(n, tuple(sorted(picked))))
+        claims.append(Cone(n, tuple(picked)))
+        claims.append(Cone(n, tuple(sorted(picked + picked[:1]))))
+    claims.append(Cone(n + 1, ()))
+    claims.append(Cone(n + 1, tuple(r + (0,) for r in c.rays)))
+    for f in claims:
+        assert is_face(c, f) == (f in fs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_subcone_agrees_with_cone_from_rays(seed):
+    rng = random.Random(seed)
+    c = random_pointed_cone(rng)
+    n = c.ambient_rank
+    multiples = [tuple(k * x for x in r) for r in c.rays for k in (1, 1, 2, 3)]
+    others = [(0,) * n, tuple(-x for x in rng.choice(c.rays)), tuple(rng.randint(-3, 3) for _ in range(n))]
+    for _ in range(8):
+        vs = rng.sample(multiples, rng.randint(0, min(len(multiples), 5)))
+        if rng.random() < 0.5:
+            vs.insert(rng.randint(0, len(vs)), rng.choice(others))
+        try:
+            want = cone_from_rays(n, vs)
+        except NotPointed:
+            with pytest.raises(NotPointed):
+                subcone(c, vs)
+            continue
+        assert subcone(c, vs) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_face_join_is_the_smallest_face_containing_both(seed):
+    rng = random.Random(seed)
+    c = random_pointed_cone(rng)
+    fs = faces(c)
+    f, g = rng.choice(fs), rng.choice(fs)
+    joint = set(f.rays) | set(g.rays)
+    want = min((h for h in fs if joint <= set(h.rays)), key=lambda h: (len(h.rays), h.rays))
+    assert face_join(c, f, g) == want

@@ -1,8 +1,13 @@
 """Diagrams of toric monoids: tightness, colimits, functional extension."""
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from toricfans import cone as cone_module
+from toricfans import documents
 from toricfans.cone import Functional, NotPointed, cone_from_rays, faces
 from toricfans.diagram import (
     ColimitResult,
@@ -18,12 +23,17 @@ from toricfans.diagram import (
     coproduct,
     extend_diagram_functional,
     face_diagram,
+    induced_subdiagram,
     is_join_closed,
     validate_tight,
     verify_face_embeddings,
 )
 from toricfans.intlin import IntMatrix, lattice_coordinates
 from toricfans.monoid import ToricMonoid, gp
+
+from randomgen import below_sets, random_tight_diagram
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 QUADRANT = cone_from_rays(2, [(1, 0), (0, 1)])
 OCTANT = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -366,3 +376,105 @@ def test_coproducts_of_face_diagrams_verify(vecs_a, vecs_b):
     assert result.colimit_rank == gp(ToricMonoid(3, a)).cols + gp(ToricMonoid(3, b)).cols
     assert verify_face_embeddings(d, result) == ()
     assert _embeddings_commute(d, result)
+
+
+# random_tight_diagram rejection-samples, so Hypothesis draws its seed only
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _thinned(rng, d: TightDiagram, scramble: bool = False) -> TightDiagram:
+    """d with about a fifth of its edges dropped and, when asked, some edge
+    matrices replaced by small random ones (no longer face inclusions)."""
+    edges = []
+    for e in d.morphisms:
+        if rng.random() < 0.2:
+            continue
+        if scramble and rng.random() < 0.2:
+            m = e.matrix
+            e = DiagramMorphism(e.source_id, e.target_id, IntMatrix.from_rows(
+                [[rng.randint(-1, 2) for _ in range(m.cols)] for _ in range(m.rows)], cols=m.cols))
+        edges.append(e)
+    return TightDiagram(d.objects, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_t4_and_meets_match_a_brute_force_count(seed):
+    rng = random.Random(seed)
+    d = _thinned(rng, random_tight_diagram(rng))
+    below = below_sets(d)
+    ids = sorted(d.objects)
+    meets, t4 = {}, []
+    for k, a in enumerate(ids):
+        for b in ids[k + 1 :]:
+            common = below[a] & below[b]
+            maximal = [x for x in common if not any(x != y and x in below[y] for y in common)]
+            if len(maximal) == 1:
+                meets[a, b] = maximal[0]
+            else:
+                t4.append(f"T4: objects {a!r}, {b!r} have {len(maximal)} maximal common faces")
+    analysis = d.analysis
+    assert dict(analysis.meets) == meets
+    assert [v for v in analysis.violations if v.startswith("T4:")] == t4
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_composite_images_match_cone_from_rays(seed):
+    rng = random.Random(seed)
+    d = _thinned(rng, random_tight_diagram(rng), scramble=True)
+    analysis = d.analysis
+    for x, targets in analysis.composites.items():
+        for p, m in targets.items():
+            try:
+                want = cone_from_rays(m.rows, [m.apply(r) for r in d.objects[x].cone.rays])
+            except NotPointed:
+                want = None
+            assert analysis.images[x, p] == want
+
+
+def _join_closed_by_face_scan(sub: Subdiagram):
+    """is_join_closed as a scan of each parent's faces for the smallest one
+    holding both images."""
+    analysis = sub.parent.analysis
+    comp, images = analysis.composites, analysis.images
+    members = sorted(sub.member_ids)
+    for k, a in enumerate(members):
+        for b in members[k:]:
+            for p in sorted(comp[a].keys() & comp[b].keys()):
+                joint = set(images[a, p].rays) | set(images[b, p].rays)
+                holding = [f for f in faces(sub.parent.objects[p].cone) if joint <= set(f.rays)]
+                join_face = min(holding, key=lambda f: (len(f.rays), f.rays))
+                realizers = sorted(x for x in analysis.below[p] if images[x, p] == join_face)
+                if not any(x in sub.member_ids for x in realizers):
+                    return False, (a, b, realizers[0])
+    return True, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_join_witnesses_match_a_face_scan(seed):
+    rng = random.Random(seed)
+    d = random_tight_diagram(rng)
+    below = below_sets(d)
+    ids = sorted(d.objects)
+    members = set()
+    for i in rng.sample(ids, rng.randint(1, min(len(ids), 3))):
+        members |= below[i]
+    sub = Subdiagram(d, frozenset(members))
+    if validate_tight(induced_subdiagram(sub)):
+        with pytest.raises(NotTightSubdiagram):
+            is_join_closed(sub)
+    else:
+        assert is_join_closed(sub) == _join_closed_by_face_scan(sub)
+
+
+def test_colimit_images_need_no_new_cone_analysis():
+    # every object lands on a face of the colimit cone, read off its record
+    doc = documents.loads((FIXTURES / "quadrant-face-diagram.json").read_text("utf-8"))
+    d = documents.decode_diagram(doc.payload)
+    result = colimit(d)
+    misses = cone_module._analyse.cache_info().misses
+    assert verify_face_embeddings(d, result) == ()
+    assert set(d.analysis.object_images.values()) == set(faces(result.cone))
+    assert cone_module._analyse.cache_info().misses == misses
