@@ -120,7 +120,7 @@ def _resolve_diagram(ref, base_dir: Path):
         return documents.decode_diagram(ref)
     try:
         text = (base_dir / ref).read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read referenced diagram {ref!r}: {exc}") from None
     inner = documents.loads(text)
     if inner.kind != "diagram":
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
             Path(args.output).write_text(text, "utf-8")
         else:
             sys.stdout.write(text)
-    except (DocumentError, OSError) as exc:
+    except (DocumentError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

@@ -7,13 +7,13 @@ so exactness survives JSON readers that coerce numbers to floats; both
 forms are accepted on input.
 
 The JSON Schema of each kind (shipped with the package) is the contract for
-its payload.  On first use it is compiled into one plain Python predicate
+its payload.  On first use it is compiled into one plain Python checker
 that agrees with Draft 2020-12 as jsonschema implements it; a keyword the
 compiler does not know makes compilation fail, so a schema edit can never
-be silently ignored.  Payloads are checked with that predicate before any
-computation runs, and outputs are re-checked before they are written.
-jsonschema is imported only when a payload is rejected, to word the
-diagnostic.  The decoders refuse what the schema lets through but is no
+be silently ignored.  Payloads are checked before any computation runs, and
+outputs before they are written.  A rejection is worded here, as jsonschema
+4.26 words its first error, which the tests check; the package does not
+import jsonschema.  The decoders refuse what the schema lets through but is no
 integer: ``2.0`` for a rank or cone index, and a decimal string that is not
 exactly ``-?[0-9]+``.  An integer longer than Python's int digit limit
 (4300 by default) is refused, in a number literal or a string.
@@ -25,6 +25,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from importlib import resources
 from numbers import Number
 from typing import Callable
@@ -64,9 +65,6 @@ class Document:
     version: str = FORMAT_VERSION
 
 
-_predicates: dict[str, Callable[[object], bool]] = {}
-_validators: dict = {}
-
 _DRAFT = "https://json-schema.org/draft/2020-12/schema"
 _KEYWORDS = frozenset(
     {"$ref", "type", "properties", "required", "additionalProperties", "items",
@@ -87,29 +85,36 @@ def _is_integer(x) -> bool:
     return not isinstance(x, bool) and (isinstance(x, int) or (isinstance(x, float) and x.is_integer()))
 
 
-_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "boolean": lambda x: isinstance(x, bool),
-    "integer": _is_integer,
+_TYPES = {  # each type's class (integer: see _is_integer), and the keywords constraining only its instances
+    "object": (dict, {"properties", "required", "additionalProperties"}),
+    "array": (list, {"items"}),
+    "string": (str, {"pattern"}),
+    "boolean": (bool, set()),
+    "integer": (int, set()),
 }
 
 
-def compile_schema(root: dict) -> Callable[[object], bool]:
-    """Compile a JSON Schema into a predicate equal to Draft 2020-12 validity.
+def compile_schema(root: dict) -> Callable[[object], tuple | None]:
+    """Compile a JSON Schema into a checker that agrees with Draft 2020-12.
 
-    Only the keywords the packaged schemas use are understood: ``type``
-    (object, array, string, boolean, integer), ``properties``, ``required``,
-    ``additionalProperties``, ``items``, ``minimum``, ``pattern``, ``enum``
-    (of strings), ``oneOf`` and local ``$ref`` into the root's ``$defs``.
-    Each keyword constrains only instances of its own type, as in the
-    draft.  Anything else raises InternalError here, not at check time.
+    The checker gives None for a valid instance, else, as ``(path, keyword,
+    instance, value)``, the error jsonschema lists first when sorted stably
+    by instance path: a node's own errors in the schema's key order, then
+    the first error of its failing child with the smallest key or index.
+    value is the keyword's argument (the allowed names for a false
+    additionalProperties, the branches that both hold for oneOf), and
+    ``schema_message`` words the error.  Only the keywords the packaged
+    schemas use are understood: ``type`` (object, array, string, boolean,
+    integer), ``properties``, ``required``, ``additionalProperties``,
+    ``items``, ``minimum``, ``pattern``, ``enum`` (of strings), ``oneOf`` of
+    two branches and a lone local ``$ref`` into the root's ``$defs``.  Each
+    keyword constrains only instances of its own type, as in the draft.
+    Anything else raises InternalError here, not at check time.
     """
     if root.get("$schema", _DRAFT) != _DRAFT:
         raise InternalError(f"schema dialect {root['$schema']!r} is not Draft 2020-12")
     defs = root.get("$defs", {})
-    compiled: dict[str, Callable[[object], bool]] = {}
+    compiled: dict[str, Callable] = {}
 
     def ref(target):
         match = _LOCAL_REF.fullmatch(target) if isinstance(target, str) else None
@@ -121,84 +126,123 @@ def compile_schema(root: dict) -> Callable[[object], bool]:
             compiled[name] = node(defs[name])
         return compiled[name]
 
-    def node(s) -> Callable[[object], bool]:
+    def node(s) -> Callable:
         if isinstance(s, bool):
-            return lambda x: s
+            return (lambda x: None) if s else (lambda x: ((), None, x, None))
         if not isinstance(s, dict):
             raise InternalError(f"not a schema: {s!r}")
         unknown = s.keys() - _KEYWORDS
         if unknown:
             raise InternalError(f"unsupported schema keywords {sorted(unknown)}")
-        checks = []
-        if "type" in s:
-            if s["type"] not in _TYPES:
-                raise InternalError(f"unsupported schema type {s['type']!r}")
-            checks.append(_TYPES[s["type"]])
         if "$ref" in s:
-            checks.append(ref(s["$ref"]))
+            if len(s) > 1:
+                raise InternalError(f"$ref beside other keywords {sorted(s)}")
+            return ref(s["$ref"])
+        if False in s.get("properties", {}).values():  # jsonschema reports it at the parent's path
+            raise InternalError("false schema under properties")
+        if "type" in s and (not isinstance(s["type"], str) or s["type"] not in _TYPES):
+            raise InternalError(f"unsupported schema type {s['type']!r}")
+        cls, only = _TYPES.get(s.get("type"), (None, set()))
+        own, value = {}, dict(s)  # keyword -> test of the node itself, and its error's value
+        if "type" in s:
+            own["type"] = _is_integer if cls is int else lambda x: isinstance(x, cls)
         if "enum" in s:
             if not all(isinstance(v, str) for v in s["enum"]):
                 raise InternalError(f"enum of non-strings {s['enum']!r}")
             allowed = frozenset(s["enum"])
-            checks.append(lambda x: isinstance(x, str) and x in allowed)
+            own["enum"] = lambda x: isinstance(x, str) and x in allowed
         if "minimum" in s:
-            low = s["minimum"]
-            # jsonschema's own comparison, so NaN passes as it does there
-            checks.append(lambda x: isinstance(x, bool) or not isinstance(x, Number) or not x < low)
+            low = s["minimum"]  # jsonschema's own comparison, so NaN passes as it does there
+            own["minimum"] = lambda x: isinstance(x, bool) or not isinstance(x, Number) or not x < low
         if "pattern" in s:
             search = re.compile(s["pattern"]).search
-            checks.append(lambda x: not isinstance(x, str) or search(x) is not None)
+            own["pattern"] = lambda x: not isinstance(x, str) or search(x) is not None
         if "oneOf" in s:
-            checks.append(_exactly_one([node(b) for b in s["oneOf"]]))
-        if s.keys() & {"properties", "required", "additionalProperties"}:
+            if len(s["oneOf"]) != 2:
+                raise InternalError(f"oneOf of {len(s['oneOf'])} branches")
+            (a, b), (first, second) = map(node, s["oneOf"]), s["oneOf"]
+            own["oneOf"] = lambda x: None if (a(x) is None) != (b(x) is None) else (
+                (), "oneOf", x, (second, first) if a(x) is None else ())  # the branches that both hold
+        if "required" in s:
+            need = frozenset(s["required"])
+            own["required"] = lambda x: not isinstance(x, dict) or need <= x.keys()
+        if s.get("additionalProperties") is False:
+            names = value["additionalProperties"] = frozenset(s.get("properties", ()))
+            own["additionalProperties"] = lambda x: not isinstance(x, dict) or x.keys() <= names
+        if s.get("items") is False:
+            own["items"] = lambda x: not isinstance(x, list) or not x
+        guarded = len(s) > 1 and s.keys() - {"type"} <= only  # a failed type is then the only error
+        checks = [own[k] if k == "oneOf" else _failing(k, value[k], own[k])
+                  for k in s if k in own and not (guarded and k == "type")]
+        if s.keys() & {"properties", "additionalProperties"}:
             props = {k: node(v) for k, v in s.get("properties", {}).items()}
-            required = frozenset(s.get("required", ()))
-            rest = node(s.get("additionalProperties", True))
-            checks.append(
-                lambda x: not isinstance(x, dict)
-                or (required <= x.keys() and all(props.get(k, rest)(v) for k, v in x.items()))
-            )
-        if "items" in s:
-            item = node(s["items"])
-            checks.append(lambda x: not isinstance(x, list) or all(map(item, x)))
-        if len(checks) == 1:
-            return checks[0]
-        if len(checks) == 2:
-            first, second = checks
-            return lambda x: first(x) and second(x)
-        return lambda x: all(c(x) for c in checks)
+            checks.append(_fields(props, node(s.get("additionalProperties", True))))
+        if s.get("items", False) is not False:
+            checks.append(_elements(node(s["items"])))
+        if guarded:
+            rest, kind = _first(checks), s["type"]
+            return lambda x: rest(x) if isinstance(x, cls) else ((), "type", x, kind)
+        return _first(checks)
 
     return node({k: v for k, v in root.items() if k not in ("$schema", "$defs")})
 
 
-def _exactly_one(branches):
-    def check(x) -> bool:
-        hits = 0
-        for b in branches:
-            hits += b(x)
-        return hits == 1
+def _failing(keyword, value, ok):
+    return lambda x: None if ok(x) else ((), keyword, x, value)
+
+
+def _first(checks):
+    return reduce(lambda f, g: lambda x: f(x) or g(x), checks or [lambda x: None])
+
+
+def _elements(item):
+    return lambda x: (
+        next(((i, *e[0]), *e[1:]) for i, e in enumerate(map(item, x)) if e)
+        if isinstance(x, list) and any(map(item, x)) else None
+    )
+
+
+def _fields(props, rest):
+    def check(x):
+        if isinstance(x, dict):
+            for k, v in x.items():
+                if props.get(k, rest)(v) is not None:
+                    k, e = min((k, e) for k, v in x.items() if (e := props.get(k, rest)(v)))
+                    return (k, *e[0]), *e[1:]
+        return None
 
     return check
 
 
-def _predicate(kind: str) -> Callable[[object], bool]:
-    if kind not in _predicates:
-        _predicates[kind] = compile_schema(schema(kind))
-    return _predicates[kind]
+_MESSAGES = {  # jsonschema 4.26's, from the failing instance and the error's value
+    None: lambda x, v: f"False schema does not allow {x!r}",
+    "type": lambda x, v: f"{x!r} is not of type {v!r}",
+    "enum": lambda x, v: f"{x!r} is not one of {v!r}",
+    "minimum": lambda x, v: f"{x!r} is less than the minimum of {v!r}",
+    "pattern": lambda x, v: f"{x!r} does not match {v!r}",
+    "required": lambda x, v: f"{next(n for n in v if n not in x)!r} is a required property",
+    "additionalProperties": lambda x, v: "Additional properties are not allowed ({} {} unexpected)".format(
+        ", ".join(repr(k) for k in sorted(x) if k not in v), "was" if len(x.keys() - v) == 1 else "were"
+    ),
+    "items": lambda x, v: f"Expected at most 0 items but found {len(x)} extra: {x[0] if len(x) == 1 else x!r}",
+    "oneOf": lambda x, v: f"{x!r} is valid under each of {', '.join(map(repr, v))}" if v
+    else f"{x!r} is not valid under any of the given schemas",
+}
 
 
-def _first_violation(kind: str, payload) -> str | None:
-    """jsonschema's wording of the first schema error, by instance path."""
-    from jsonschema import Draft202012Validator
+def schema_message(error) -> str:
+    """jsonschema 4.26's message for an error of a compiled checker."""
+    return _MESSAGES[error[1]](*error[2:])
 
-    if kind not in _validators:
-        _validators[kind] = Draft202012Validator(schema(kind))
-    errors = sorted(_validators[kind].iter_errors(payload), key=lambda e: list(e.absolute_path))
-    if not errors:
-        return None
-    first = errors[0]
-    where = "/".join(str(p) for p in first.absolute_path) or "(root)"
-    return f"schema violation for kind {kind!r} at {where}: {first.message}"
+
+@lru_cache(maxsize=len(KINDS))
+def _checker(kind: str) -> Callable:
+    return compile_schema(schema(kind))
+
+
+def _violation(kind: str, error) -> str:
+    where = "/".join(map(str, error[0])) or "(root)"
+    return f"schema violation for kind {kind!r} at {where}: {schema_message(error)}"
 
 
 def loads(text: str) -> Document:
@@ -224,21 +268,16 @@ def loads(text: str) -> Document:
     if "payload" not in raw:
         raise DocumentError("document has no payload")
     payload = raw["payload"]
-    if not _predicate(kind)(payload):
-        message = _first_violation(kind, payload)
-        if message is None:
-            raise InternalError(f"compiled schema of kind {kind!r} rejects a payload jsonschema accepts")
-        raise DocumentError(message)
+    if (error := _checker(kind)(payload)) is not None:
+        raise DocumentError(_violation(kind, error))
     return Document(kind, payload)
 
 
 def dumps(doc: Document) -> str:
     """Deterministic serialization; the payload is re-checked against its
     schema so a malformed emission fails loudly at the source."""
-    if not _predicate(doc.kind)(doc.payload):
-        raise InternalError(
-            f"emitted {doc.kind!r} document fails its schema: {_first_violation(doc.kind, doc.payload)}"
-        )
+    if (error := _checker(doc.kind)(doc.payload)) is not None:
+        raise InternalError(f"emitted {doc.kind!r} document fails its schema: {_violation(doc.kind, error)}")
     body = {"kind": doc.kind, "payload": doc.payload, "version": doc.version}
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
@@ -304,10 +343,10 @@ def encode_monoid(m: ToricMonoid) -> dict:
 
 def decode_monoid(payload) -> ToricMonoid:
     n = decode_int(payload["lattice_rank"])
-    c = decode_cone(payload["cone"])
-    if c.ambient_rank != n:
+    # compared first: analysing a cone with no rays costs its ambient rank squared
+    if decode_int(payload["cone"]["ambient_rank"]) != n:
         raise DocumentError("cone ambient_rank differs from lattice_rank")
-    return ToricMonoid(n, c)
+    return ToricMonoid(n, decode_cone(payload["cone"]))
 
 
 def encode_diagram(d: TightDiagram) -> dict:

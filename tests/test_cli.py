@@ -9,10 +9,14 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_schema_compiler import REPLACEMENTS, nodes, replace_node
 from toricfans import cli as cli_module
 from toricfans import diagram as diagram_module
 from toricfans import documents
@@ -358,6 +362,22 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not dest.exists()
 
 
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = invoke(["validate", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err and err.count("\n") == 1
+
+
+def test_referenced_diagram_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+    req = write_doc(tmp_path / "req.json", "functional-request", extend_request("bad.json", ["f"], {"f": [0, 0]}))
+    code, out, err = invoke(["extend", "--input", req], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read referenced diagram 'bad.json': ") and err.count("\n") == 1
+
+
 def test_deeply_nested_document_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 5000 + "]" * 5000, "utf-8")
@@ -546,3 +566,62 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert documents.loads(proc.stdout).payload == {"ok": True}
+
+
+def _text(path) -> str:
+    return Path(path).read_text("utf-8")
+
+
+# each fixture, and an extend request on one, with a command line that reads it
+FUZZ_TARGETS = (
+    (["validate"], _text(QUADRANT_DIAGRAM)),
+    (["colimit"], _text(OCTANT)),
+    (["glue"], _text(DOUBLED_LINE)),
+    (["validate"], _text(DOUBLED_PLANE)),
+    (["check", "--which", "group"], _text(A1_FAN)),
+    (["check", "--which", "canonical"], _text(A1_FAN)),
+    (["extend"], json.dumps({"kind": "functional-request", "version": "1", "payload": extend_request(
+        json.loads(_text(QUADRANT_DIAGRAM))["payload"], ["f", "f_1"], {"f": [0, 0], "f_1": [1, 0]})})),
+)
+
+
+@st.composite
+def fuzzed_inputs(draw):
+    """A command line and the bytes of its --input file: a fixture with one
+    JSON node replaced, or with a few raw byte edits."""
+    argv, text = draw(st.sampled_from(FUZZ_TARGETS))
+    if draw(st.booleans()):
+        doc = json.loads(text)
+        where, _ = draw(st.sampled_from(list(nodes(doc))))
+        return argv, json.dumps(replace_node(doc, where, draw(st.sampled_from(REPLACEMENTS)))).encode()
+    data = bytearray(text.encode())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            data.insert(at, draw(st.integers(0, 255)))
+        elif at < len(data):
+            if edit == "replace":
+                data[at] = draw(st.integers(0, 255))
+            else:
+                del data[at : at + draw(st.integers(1, 8))]
+    return argv, bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_inputs())
+def test_fuzzed_input_gets_a_document_or_one_diagnostic(case):
+    argv, data = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_bytes(data)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--input", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")
+    else:
+        documents.loads(out.getvalue())

@@ -1,10 +1,12 @@
-"""The compiled schema predicates against jsonschema's Draft 2020-12 validator.
+"""The compiled schema checkers against jsonschema's Draft 2020-12 validator.
 
-documents.loads and documents.dumps check payloads with a predicate compiled
-from each packaged schema; jsonschema only words the rejections.  These tests
-compare the two on real payloads of all ten kinds (fixtures, encoded random
-objects, command-line outputs) and on single-node mutations of them, each
-checked against every kind.
+documents.loads and documents.dumps check payloads with a checker compiled
+from each packaged schema, which finds the first error and words it without
+jsonschema.  These tests compare the two on real payloads of all ten kinds
+(fixtures, encoded random objects, command-line outputs) and on single-node
+mutations of them, each checked against every kind: the verdicts must agree,
+and on a rejection so must the first error (jsonschema's errors sorted by
+instance path), its path and its message.
 """
 
 import copy
@@ -30,7 +32,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 QUADRANT = FIXTURES / "quadrant-face-diagram.json"
 
 REPLACEMENTS = (0, -3, 2**60, 1.0, 1.5, -0.0, True, None, "12", "12\n", "x", [], {})
-PREDICATES = {k: documents.compile_schema(documents.schema(k)) for k in documents.KINDS}
+CHECKERS = {k: documents.compile_schema(documents.schema(k)) for k in documents.KINDS}
 VALIDATORS = {k: Draft202012Validator(documents.schema(k)) for k in documents.KINDS}
 
 
@@ -87,18 +89,18 @@ def corpus() -> tuple:
     return tuple(payloads)
 
 
-def _nodes(value, path=()):
+def nodes(value, path=()):
     """Every (path, node) of a JSON value, the root first."""
     yield path, value
     if isinstance(value, dict):
         for k, v in value.items():
-            yield from _nodes(v, (*path, k))
+            yield from nodes(v, (*path, k))
     elif isinstance(value, list):
         for i, v in enumerate(value):
-            yield from _nodes(v, (*path, i))
+            yield from nodes(v, (*path, i))
 
 
-def _replace(value, path, new):
+def replace_node(value, path, new):
     if not path:
         return new
     out = copy.deepcopy(value)
@@ -109,9 +111,21 @@ def _replace(value, path, new):
     return out
 
 
+def compiled_error(check, instance):
+    """The compiled checker's first error as (path, message), or None."""
+    error = check(instance)
+    return None if error is None else (error[0], documents.schema_message(error))
+
+
+def jsonschema_error(validator, instance):
+    """jsonschema's first error by instance path as (path, message), or None."""
+    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
+    return (tuple(errors[0].absolute_path), errors[0].message) if errors else None
+
+
 def assert_agrees(payload):
     for kind in documents.KINDS:
-        assert PREDICATES[kind](payload) == VALIDATORS[kind].is_valid(payload), (kind, payload)
+        assert compiled_error(CHECKERS[kind], payload) == jsonschema_error(VALIDATORS[kind], payload), kind
 
 
 def test_corpus_covers_every_kind_and_is_valid():
@@ -131,15 +145,14 @@ def test_unmutated_payloads_agree_for_every_kind():
 @st.composite
 def mutated(draw):
     payload = draw(st.sampled_from(corpus()))
-    nodes = list(_nodes(payload))
-    path, node = draw(st.sampled_from(nodes))
+    path, node = draw(st.sampled_from(list(nodes(payload))))
     how = draw(st.sampled_from(("replace", "drop", "extra")))
     if how == "drop" and isinstance(node, dict) and node:
         key = draw(st.sampled_from(sorted(node)))
-        return _replace(payload, path, {k: v for k, v in node.items() if k != key})
+        return replace_node(payload, path, {k: v for k, v in node.items() if k != key})
     if how == "extra" and isinstance(node, dict):
-        return _replace(payload, path, {**node, "extra": draw(st.sampled_from(REPLACEMENTS))})
-    return _replace(payload, path, draw(st.sampled_from(REPLACEMENTS)))
+        return replace_node(payload, path, {**node, "extra": draw(st.sampled_from(REPLACEMENTS))})
+    return replace_node(payload, path, draw(st.sampled_from(REPLACEMENTS)))
 
 
 @settings(max_examples=1500, deadline=None)
@@ -166,7 +179,40 @@ def test_mutated_payloads_agree_for_every_kind(payload):
 )
 def test_keyword_details_match_draft_2020_12(schema, value):
     # 2.0 is an integer and True is not; pattern searches; keywords ignore other types
-    assert documents.compile_schema(schema)(value) == Draft202012Validator(schema).is_valid(value)
+    check = documents.compile_schema(schema)
+    assert compiled_error(check, value) == jsonschema_error(Draft202012Validator(schema), value)
+
+
+@pytest.mark.parametrize(
+    "schema, value, path, message",
+    [
+        # a node's own errors come in the schema's key order
+        ({"minimum": 0, "type": "integer"}, -1.5, (), "-1.5 is less than the minimum of 0"),
+        ({"type": "integer", "minimum": 0}, -1.5, (), "-1.5 is not of type 'integer'"),
+        ({"required": ["a", "b", "c"]}, {"b": 1}, (), "'a' is a required property"),
+        ({"additionalProperties": False, "properties": {"a": {}}}, {"z": 1, "a": 1, "b": 2}, (),
+         "Additional properties are not allowed ('b', 'z' were unexpected)"),
+        ({"additionalProperties": False}, {"z": 1}, (), "Additional properties are not allowed ('z' was unexpected)"),
+        ({"items": False}, [1, [2]], (), "Expected at most 0 items but found 2 extra: [1, [2]]"),
+        ({"items": False}, ["x"], (), "Expected at most 0 items but found 1 extra: 'x'"),
+        ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, 5, (),
+         "5 is valid under each of {'minimum': 0}, {'type': 'integer'}"),
+        ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -0.5, (),
+         "-0.5 is not valid under any of the given schemas"),
+        # then the first error of the failing child with the smallest key or index
+        ({"properties": {"b": {"type": "string"}, "a": {"type": "string"}}, "required": ["c"]},
+         {"b": 1, "a": 2}, (), "'c' is a required property"),
+        ({"properties": {"b": {"type": "string"}, "a": {"type": "string"}}}, {"b": 1, "a": 2}, ("a",),
+         "2 is not of type 'string'"),
+        ({"additionalProperties": {"items": {"enum": ["x"]}}}, {"q": ["x", "y"], "p": [1]}, ("p", 0),
+         "1 is not one of ['x']"),
+        ({"items": {"pattern": "^a"}}, ["a", "b", "c"], (1,), "'b' does not match '^a'"),
+    ],
+)
+def test_first_error_and_its_wording(schema, value, path, message):
+    check = documents.compile_schema(schema)
+    assert compiled_error(check, value) == (path, message)
+    assert jsonschema_error(Draft202012Validator(schema), value) == (path, message)
 
 
 def test_every_packaged_schema_compiles():
@@ -184,6 +230,11 @@ def test_every_packaged_schema_compiles():
         {"$ref": "other.json#/x"},
         {"enum": [1, 2]},
         {"$schema": "http://json-schema.org/draft-07/schema#"},
+        {"type": ["integer", "string"]},
+        {"oneOf": [{}, {}, {}]},
+        # jsonschema orders the errors of these in ways a compiled node does not follow
+        {"$ref": "#/$defs/a", "type": "object", "$defs": {"a": {}}},
+        {"properties": {"a": False}},
     ],
 )
 def test_unsupported_schema_is_refused_when_compiled(schema):
@@ -195,11 +246,4 @@ def test_recursive_reference_compiles():
     schema = {"$defs": {"t": {"type": "array", "items": {"$ref": "#/$defs/t"}}}, "$ref": "#/$defs/t"}
     check = documents.compile_schema(schema)
     for value in ([], [[], [[]]], [[1]], [[], 1]):
-        assert check(value) == Draft202012Validator(schema).is_valid(value)
-
-
-def test_loads_refuses_to_accept_when_the_predicate_disagrees(monkeypatch):
-    # a compiled predicate that rejects what jsonschema accepts is a bug, never an acceptance
-    monkeypatch.setitem(documents._predicates, "diagram", lambda payload: False)
-    with pytest.raises(InternalError, match="rejects a payload jsonschema accepts"):
-        documents.loads(QUADRANT.read_text("utf-8"))
+        assert compiled_error(check, value) == jsonschema_error(Draft202012Validator(schema), value)
