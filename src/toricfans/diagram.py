@@ -14,16 +14,18 @@ full per-morphism coequalizer (any compatible cocone factors through it the
 same way) and keeps the Smith reductions small.
 
 Every operation reads one DiagramAnalysis, built in a single pass on first
-use and cached on the diagram as ``d.analysis``: the sorted edges and the
-topological order (or the cycle flag), the path composites and T3
-conflicts, the below-sets and maximal ids, the composite image cones, the
-unique maximal common face of each pair (T4), the violations, and, on
+use and cached on the diagram as ``d.analysis``: the sorted edges, the
+topological order (or the cycle flag) and each object's below-set as a
+bitmask over it, the path composites and T3 conflicts, the maximal ids,
+the composite image cones and their realizers, the violations, and, on
 first use, the colimit and the objects' image cones in it.  The cache is
 never refreshed, so a diagram must not be mutated after it is built.
-Face questions go to the cone records' face bitmasks: each composite
-carries a ray map, source ray -> target ray, and its image cone is read
-off that; below-sets are bitmasks over the topological order, so T4 is a
-top-element test; a join inside a parent is an AND of its facets.
+Order questions are bit operations: a set of ids has a unique maximal
+element exactly when its last id in that order has all of it below (T4,
+the colimit's meets, the extension's maximum processed face).  Face
+questions go to the cone records' face bitmasks: each composite carries a
+ray map, source ray -> target ray, and its image cone is read off that; a
+join inside a parent is an AND of its facets.
 """
 
 from __future__ import annotations
@@ -152,9 +154,10 @@ class ColimitResult:
 class DiagramAnalysis:
     """What one diagram's operations need to know about it; derived once, never modified.
 
-    On a directed morphism cycle only ``edges``, ``violations`` and
-    ``cyclic`` are filled in; everything else is empty.  ``images`` holds
-    None where a composite degenerates, which only happens when T1 fails.
+    ``below`` is the one encoding of the order.  On a directed morphism
+    cycle only ``edges``, ``violations`` and ``cyclic`` are filled in;
+    everything else is empty.  ``images`` holds None where a composite
+    degenerates, which only happens when T1 fails.
     ``colimit`` and ``object_images`` are computed on first use, handed
     read-only to every caller, and raise NotTight unless the diagram is tight.
     """
@@ -162,18 +165,22 @@ class DiagramAnalysis:
     objects: Mapping[str, ToricMonoid]
     edges: tuple[DiagramMorphism, ...]  # distinct, by (source, target, entries)
     cyclic: bool
-    order: tuple[str, ...]  # topological, sources first
+    order: tuple[str, ...]  # topological, sources first; bit k of a mask is order[k]
+    below: Mapping[str, int]  # y -> mask of every x with a path x -> y, y included
     composites: Mapping[str, Mapping[str, IntMatrix]]  # x -> y -> matrix of the path x -> y
     conflicts: tuple[str, ...]  # T3 reports for disagreeing parallel composites
-    below: Mapping[str, frozenset]  # y -> every x with a path x -> y, y included
     maximal_ids: tuple[str, ...]  # sorted ids with nothing above them
     images: Mapping[tuple[str, str], Cone | None]  # (x, y) -> x's cone inside y
-    meets: Mapping[tuple[str, str], str]  # (a, b), a < b -> unique maximal common face
+    realizers: Mapping[str, Mapping[Cone | None, list[str]]]  # y -> image in y -> sorted x with it
     violations: tuple[str, ...]
 
     def require_tight(self) -> None:
         if self.violations:
             raise NotTight(self.violations)
+
+    def meet(self, a: str, b: str) -> str | None:
+        """The unique maximal common face of a and b, or None where T4 fails."""
+        return _top(self.below[a] & self.below[b], self.order, self.below)
 
     def gp_matrix(self, src: str, tgt: str) -> IntMatrix:
         """The composite src -> tgt on gp bases: gp(src) columns expressed in
@@ -193,7 +200,7 @@ class DiagramAnalysis:
         relation_cols = []
         for i, m1 in enumerate(self.maximal_ids):
             for m2 in self.maximal_ids[i + 1 :]:
-                z = self.meets[m1, m2]
+                z = self.meet(m1, m2)
                 x1 = self.gp_matrix(z, m1)
                 x2 = self.gp_matrix(z, m2)
                 for j in range(x1.cols):
@@ -238,10 +245,7 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
     its ray map, and only where there is none are the rays' images mapped.
     A face of an object counts as present (T2) when some object's composite
     image is that face; the object itself stands for its improper face.
-    Below-sets are also kept as bitmasks over the topological order, which
-    makes T4 a top-element test: a nonempty down-set has a unique maximal
-    element exactly when its last element in that order has all of it
-    below.
+    T4 asks each pair's common below-set for a top element.
     """
     objects = d.objects
     edges = tuple(
@@ -268,7 +272,7 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
         k += 1
     if len(order) < len(objects):
         violations.append("T3: the diagram contains a directed morphism cycle")
-        return DiagramAnalysis(objects, edges, True, (), {}, (), {}, (), {}, {}, tuple(violations))
+        return DiagramAnalysis(objects, edges, True, (), {}, {}, (), (), {}, {}, tuple(violations))
 
     ray_index = {i: {r: k for k, r in enumerate(obj.cone.rays)} for i, obj in objects.items()}
     comp = {i: {} for i in objects}
@@ -293,54 +297,68 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
     violations.extend(conflicts)
 
     position = {i: k for k, i in enumerate(order)}
-    below = {i: set() for i in objects}
-    below_mask = dict.fromkeys(objects, 0)
+    below = dict.fromkeys(objects, 0)
     images = {}
+    realizers = {i: {} for i in objects}
     for x in sorted(objects):
         for p, matrix in comp[x].items():
-            below[p].add(x)
-            below_mask[p] |= 1 << position[x]
+            below[p] |= 1 << position[x]
             target = objects[p].cone
             ray_map = maps[x][p]
             if ray_map is not None:
-                images[x, p] = Cone(target.ambient_rank, tuple(target.rays[k] for k in sorted(set(ray_map))))
-                continue
-            try:
-                images[x, p] = subcone(target, [matrix.apply(r) for r in objects[x].cone.rays])
-            except NotPointed:
-                images[x, p] = None
-    below = {i: frozenset(s) for i, s in below.items()}
+                image = Cone(target.ambient_rank, tuple(target.rays[k] for k in sorted(set(ray_map))))
+            else:
+                try:
+                    image = subcone(target, [matrix.apply(r) for r in objects[x].cone.rays])
+                except NotPointed:
+                    image = None
+            images[x, p] = image
+            realizers[p].setdefault(image, []).append(x)
 
     ids = sorted(objects)
     for i in ids:
-        realized = {images[j, i] for j in below[i]}
         for f in faces(objects[i].cone):
-            if f != objects[i].cone and f not in realized:
+            if f not in realizers[i]:
                 violations.append(f"T2: object {i!r} is missing its face with rays {f.rays}")
 
-    meets = {}
     for a_pos, a in enumerate(ids):
+        below_a = below[a]
         for b in ids[a_pos + 1 :]:
-            common = below_mask[a] & below_mask[b]
-            top = order[common.bit_length() - 1] if common else None
-            if common and common & ~below_mask[top] == 0:
-                meets[a, b] = top
-            else:
-                maximal = _maximal_among(below[a] & below[b], comp)
-                violations.append(
-                    f"T4: objects {a!r}, {b!r} have {len(maximal)} maximal common faces"
-                )
+            common = below_a & below[b]
+            if _top(common, order, below) is None:
+                count = _maximal_bits(common, order, below).bit_count()
+                violations.append(f"T4: objects {a!r}, {b!r} have {count} maximal common faces")
 
     maximal_ids = tuple(i for i in ids if len(comp[i]) == 1)
     return DiagramAnalysis(
-        objects, edges, False, tuple(order), comp, conflicts, below, maximal_ids, images, meets,
+        objects, edges, False, tuple(order), below, comp, conflicts, maximal_ids, images, realizers,
         tuple(violations),
     )
 
 
-def _maximal_among(ids, comp) -> list[str]:
-    """The ids with no other one of them above them."""
-    return [k for k in ids if not any(other != k and other in comp[k] for other in ids)]
+def _top(mask: int, order, below) -> str | None:
+    """The unique maximal id of a mask, or None.  Any nonempty set of ids has
+    one exactly when its last id in topological order has all of it below."""
+    top = order[mask.bit_length() - 1] if mask else None
+    return top if mask and mask & ~below[top] == 0 else None
+
+
+def _maximal_bits(mask: int, order, below) -> int:
+    """The bits of mask minus everything strictly below them."""
+    covered = 0
+    for i in _ids(mask, order):
+        covered |= below[i] & ~(1 << below[i].bit_length() - 1)  # an id's own bit is its highest
+    return mask & ~covered
+
+
+def _ids(mask: int, order) -> list[str]:
+    """The ids with their bits set in mask, in topological order."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(order[low.bit_length() - 1])
+        mask ^= low
+    return ids
 
 
 def validate_tight(d: TightDiagram) -> tuple[str, ...]:
@@ -419,7 +437,7 @@ def is_join_closed(sub: Subdiagram):
         for b in members[i:]:
             for p in sorted(comp[a].keys() & comp[b].keys()):
                 join_face = face_join(d.objects[p].cone, images[a, p], images[b, p])
-                realizers = sorted(x for x in analysis.below[p] if images[x, p] == join_face)
+                realizers = analysis.realizers[p][join_face]
                 if not any(x in sub.member_ids for x in realizers):
                     return False, (a, b, realizers[0])
     return True, None
@@ -466,25 +484,19 @@ def extend_diagram_functional(
             raise IncompatibleFamily(f"coefficients for {i!r} have the wrong length")
         values[i] = coeffs
 
-    comp, below = analysis.composites, analysis.below
+    comp, order, below = analysis.composites, analysis.order, analysis.below
 
     def restrict(vals: Sequence[int], src: str, tgt: str) -> tuple[int, ...]:
         # pull a functional on tgt back along the composite src -> tgt
         m = comp[src][tgt]
-        return tuple(
-            sum(vals[r] * m.entries[r][c] for r in range(m.rows)) for c in range(m.cols)
-        )
+        return tuple(sum(vals[r] * m.entries[r][c] for r in range(m.rows)) for c in range(m.cols))
 
     for x in members:
         for y in members:
             if x != y and y in comp[x]:
                 pulled = restrict(values[y], x, y)
-                bx = gp(d.objects[x])
-                for j in range(bx.cols):
-                    col = bx.col(j)
-                    if sum(a * b for a, b in zip(pulled, col)) != sum(
-                        a * b for a, b in zip(values[x], col)
-                    ):
+                for col in gp(d.objects[x]).columns():
+                    if sum(a * b for a, b in zip(pulled, col)) != sum(a * b for a, b in zip(values[x], col)):
                         raise IncompatibleFamily(
                             f"functionals on {x!r} and {y!r} disagree along {x!r}->{y!r}"
                         )
@@ -495,41 +507,35 @@ def extend_diagram_functional(
                 if sum(a * b for a, b in zip(values[i], r)) < 0:
                     raise NegativeOnSub(f"negative on ray {r} of member {i!r}")
 
-    current = set(members)
-    while len(current) < len(d.objects):
-        outside = [i for i in sorted(d.objects) if i not in current]
-        b = min(
-            i for i in outside
-            if not any(j != i and j in outside for j in comp[i])
-        )
-        uppers = sorted(j for j in comp[b] if j != b and j in current)
+    bit = {i: 1 << k for k, i in enumerate(order)}
+    everything = (1 << len(order)) - 1
+    current = sum(bit[i] for i in members)
+    while current != everything:
+        b = min(_ids(_maximal_bits(everything & ~current, order, below), order))
+        uppers = sorted(j for j in comp[b] if j != b and current & bit[j])
         if uppers:
             values[b] = restrict(values[uppers[0]], b, uppers[0])
         else:
             processed_faces = below[b] & current
             if processed_faces:
-                maximal = _maximal_among(processed_faces, comp)
-                if len(maximal) != 1:
+                dm = _top(processed_faces, order, below)
+                if dm is None:
                     raise InternalError(f"no unique maximum processed face of {b!r}")
-                dm = maximal[0]
                 morphism = FaceMorphism(d.objects[dm], d.objects[b], comp[dm][b])
                 psi = MonoidFunctional(d.objects[dm], Functional(values[dm]))
             else:
                 origin = ToricMonoid(0, cone_from_rays(0, []))
-                morphism = FaceMorphism(
-                    origin, d.objects[b], IntMatrix.zeros(d.objects[b].lattice_rank, 0)
-                )
+                morphism = FaceMorphism(origin, d.objects[b], IntMatrix.zeros(d.objects[b].lattice_rank, 0))
                 psi = MonoidFunctional(origin, Functional(()))
             try:
                 extended = extend_functional(d.objects[b], morphism, psi, mode)
             except NegativeOnFace as exc:  # family was checked, so only forced values trip this
                 raise IncompatibleFamily(str(exc)) from exc
             values[b] = extended.coefficients.coefficients
-        current.add(b)
-        for x in sorted(below[b]):
-            if x not in current:
-                values[x] = restrict(values[b], x, b)
-                current.add(x)
+        current |= bit[b]
+        for x in _ids(below[b] & ~current, order):
+            values[x] = restrict(values[b], x, b)
+        current |= below[b]
 
     colim = analysis.colimit
     stacked = None
@@ -537,10 +543,7 @@ def extend_diagram_functional(
     for m in analysis.maximal_ids:
         emb = colim.embeddings[m]
         stacked = emb if stacked is None else stacked.hstack(emb)
-        basis = gp(d.objects[m])
-        for j in range(basis.cols):
-            col = basis.col(j)
-            target_values.append(sum(a * b for a, b in zip(values[m], col)))
+        target_values.extend(sum(a * b for a, b in zip(values[m], col)) for col in gp(d.objects[m]).columns())
     if stacked is None:
         return Functional(())
     try:
@@ -557,9 +560,7 @@ def extend_diagram_functional(
 
     if mode == "nonneg_positive_away":
         images = analysis.object_images
-        member_rays = set()
-        for i in members:
-            member_rays.update(images[i].rays)
+        member_rays = {r for i in members for r in images[i].rays}
         for i in sorted(d.objects):
             for r in images[i].rays:
                 val = phi(r)
@@ -580,23 +581,20 @@ def face_diagram(c: Cone) -> TightDiagram:
     """
     n = c.ambient_rank
     ray_index = {r: k for k, r in enumerate(c.rays)}
-
-    def name(f: Cone) -> str:
-        return "f" + "".join(f"_{ray_index[r]}" for r in f.rays)
-
     all_faces = faces(c)
-    objects = {name(f): ToricMonoid(n, f) for f in all_faces}
-    # faces of one cone are ordered by their extreme-ray sets, so cover
-    # edges come straight from strict set inclusion with nothing between
-    ray_sets = {name(f): frozenset(f.rays) for f in all_faces}
+    names = ["f" + "".join(f"_{ray_index[r]}" for r in f.rays) for f in all_faces]
+    objects = {fn: ToricMonoid(n, f) for fn, f in zip(names, all_faces)}
+    # faces of one cone are ordered by their ray bitmasks and come sorted by
+    # ray count, so g covers f unless a cover of f met earlier lies inside g
+    masks = [sum(1 << ray_index[r] for r in f.rays) for f in all_faces]
     edges = []
-    for fn, fr in ray_sets.items():
-        for gn, gr in ray_sets.items():
-            if not fr < gr:
-                continue
-            if any(fr < hr < gr for hr in ray_sets.values()):
-                continue
-            edges.append(DiagramMorphism(fn, gn, IntMatrix.identity(n)))
+    for k, fm in enumerate(masks):
+        covers = []
+        for j in range(k + 1, len(masks)):
+            gm = masks[j]
+            if fm & ~gm == 0 and all(h & ~gm for h in covers):
+                covers.append(gm)
+                edges.append(DiagramMorphism(names[k], names[j], IntMatrix.identity(n)))
     return TightDiagram(objects, edges)
 
 

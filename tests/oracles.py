@@ -3,8 +3,9 @@
 Everything here is deliberately implemented from scratch, without calling the
 library paths under test: the triple-loop matrix product, fraction-free
 elimination for ranks and determinants, minor gcds for saturation, subset search for facets and
-supporting functionals, closures of ray subsets for faces, and Caratheodory
-search for cone membership.
+supporting functionals, closures of ray subsets for faces, Caratheodory
+search for cone membership, a scan of every entry for the Smith pivot, and
+set inclusion with nothing between for face covers.
 """
 
 from __future__ import annotations
@@ -249,3 +250,22 @@ def face_ray_sets(gens, facets):
             through = everything.intersection(*(on[g] for g in subset))
             found.add(frozenset(g for g in gens if on[g] >= through))
     return found
+
+
+def smallest_pivot(rows, t):
+    """(row, column) of the smallest nonzero absolute value in rows[t:][t:],
+    ties to the lowest row, then the lowest column; None when all are zero."""
+    entries = [(abs(v), i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v and min(i, j) >= t]
+    return min(entries)[1:] if entries else None
+
+
+def cover_pairs(ray_sets):
+    """Index pairs (i, j), i-major in list order, where ray set j covers ray
+    set i: strict inclusion with no listed set strictly between."""
+    sets = [frozenset(s) for s in ray_sets]
+    return [
+        (i, j)
+        for i, f in enumerate(sets)
+        for j, g in enumerate(sets)
+        if f < g and not any(f < h < g for h in sets)
+    ]

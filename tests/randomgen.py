@@ -33,6 +33,16 @@ def random_pointed_cone(rng, max_rank=4, max_rays=8, full_dim=False, span=5, min
         return c
 
 
+def paraboloid_cone(rng, d: int, n: int) -> Cone:
+    """The cone over n distinct lifted points (1, x, |x|^2), x drawn from
+    [-2, 2]^(d - 2); every generator is extreme.  The face-diagram ladder
+    draws rung (d, n) with random.Random(1000 * d + n)."""
+    points: set[tuple[int, ...]] = set()
+    while len(points) < n:
+        points.add(tuple(rng.randint(-2, 2) for _ in range(d - 2)))
+    return cone_from_rays(d, [(1, *x, sum(v * v for v in x)) for x in sorted(points)])
+
+
 def random_tight_diagram(rng) -> TightDiagram:
     """A face diagram of one random cone, or a coproduct of two."""
     if rng.random() < 0.4:

@@ -31,7 +31,8 @@ from toricfans.diagram import (
 from toricfans.intlin import IntMatrix, lattice_coordinates
 from toricfans.monoid import ToricMonoid, gp
 
-from randomgen import below_sets, random_tight_diagram
+from oracles import cover_pairs
+from randomgen import below_sets, paraboloid_cone, random_pointed_cone, random_tight_diagram
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -409,12 +410,12 @@ def test_t4_and_meets_match_a_brute_force_count(seed):
         for b in ids[k + 1 :]:
             common = below[a] & below[b]
             maximal = [x for x in common if not any(x != y and x in below[y] for y in common)]
-            if len(maximal) == 1:
-                meets[a, b] = maximal[0]
-            else:
+            meets[a, b] = maximal[0] if len(maximal) == 1 else None
+            if len(maximal) != 1:
                 t4.append(f"T4: objects {a!r}, {b!r} have {len(maximal)} maximal common faces")
     analysis = d.analysis
-    assert dict(analysis.meets) == meets
+    assert {(a, b): analysis.meet(a, b) for a, b in meets} == meets
+    assert {(a, b): analysis.meet(b, a) for a, b in meets} == meets
     assert [v for v in analysis.violations if v.startswith("T4:")] == t4
 
 
@@ -438,6 +439,7 @@ def _join_closed_by_face_scan(sub: Subdiagram):
     holding both images."""
     analysis = sub.parent.analysis
     comp, images = analysis.composites, analysis.images
+    below = below_sets(sub.parent)
     members = sorted(sub.member_ids)
     for k, a in enumerate(members):
         for b in members[k:]:
@@ -445,7 +447,7 @@ def _join_closed_by_face_scan(sub: Subdiagram):
                 joint = set(images[a, p].rays) | set(images[b, p].rays)
                 holding = [f for f in faces(sub.parent.objects[p].cone) if joint <= set(f.rays)]
                 join_face = min(holding, key=lambda f: (len(f.rays), f.rays))
-                realizers = sorted(x for x in analysis.below[p] if images[x, p] == join_face)
+                realizers = sorted(x for x in below[p] if images[x, p] == join_face)
                 if not any(x in sub.member_ids for x in realizers):
                     return False, (a, b, realizers[0])
     return True, None
@@ -467,6 +469,41 @@ def test_join_witnesses_match_a_face_scan(seed):
             is_join_closed(sub)
     else:
         assert is_join_closed(sub) == _join_closed_by_face_scan(sub)
+
+
+def _cover_edges_by_set_scan(c):
+    fs = faces(c)
+    index = {r: k for k, r in enumerate(c.rays)}
+    names = ["f" + "".join(f"_{index[r]}" for r in f.rays) for f in fs]
+    return [(names[i], names[j]) for i, j in cover_pairs([f.rays for f in fs])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_face_diagram_covers_match_a_ray_set_scan(seed):
+    c = random_pointed_cone(random.Random(seed), max_rank=4, max_rays=8)
+    d = face_diagram(c)
+    assert [(e.source_id, e.target_id) for e in d.morphisms] == _cover_edges_by_set_scan(c)
+    assert all(e.matrix == IntMatrix.identity(c.ambient_rank) for e in d.morphisms)
+
+
+def test_paraboloid_face_diagram_covers_match_a_ray_set_scan():
+    c = paraboloid_cone(random.Random(6010), 6, 10)
+    d = face_diagram(c)
+    assert (len(d.objects), len(d.morphisms)) == (238, 821)
+    assert [(e.source_id, e.target_id) for e in d.morphisms] == _cover_edges_by_set_scan(c)
+
+
+def test_paraboloid_rung_6_14_is_tight_and_extends_from_the_zero_face():
+    # the (6, 14) rung of the face-diagram ladder, checked for its results only
+    c = paraboloid_cone(random.Random(6014), 6, 14)
+    d = face_diagram(c)
+    assert (len(d.objects), len(d.morphisms)) == (568, 2044)
+    assert validate_tight(d) == ()
+    result = colimit(d)
+    assert (result.colimit_rank, result.cone) == (6, c)
+    phi = extend_diagram_functional(d, Subdiagram(d, frozenset({ZERO})), {ZERO: (0,) * 6})
+    assert all(phi(r) >= 1 for r in result.cone.rays)
 
 
 def test_colimit_images_need_no_new_cone_analysis():

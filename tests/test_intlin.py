@@ -18,9 +18,10 @@ from toricfans.intlin import (
     rank,
     saturate,
     smith_normal_form,
+    _find_pivot,
     _row_echelon_transform,
 )
-from oracles import bareiss_det, fraction_free_rank, matrix_product, maximal_minor_gcd
+from oracles import bareiss_det, fraction_free_rank, matrix_product, maximal_minor_gcd, smallest_pivot
 
 
 def M(rows, cols=None):
@@ -275,6 +276,25 @@ def test_pivot_rule_is_shared_pinned(a):
 @given(matrices)
 def test_pivot_rule_is_shared(a):
     _agrees_with_full_smith(a)
+
+
+@st.composite
+def rows_with_units(draw):
+    """A small working matrix as lists of rows, with one to three entries set
+    to +-1, and a start index t for the pivot search."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(1, 3))):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = draw(st.sampled_from((-1, 1)))
+    return rows, draw(st.integers(0, min(m, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_with_units())
+def test_pivot_search_matches_a_full_scan(drawn):
+    # the search stops at the first unit; a scan of every entry picks the same one
+    rows, t = drawn
+    assert _find_pivot(rows, t, len(rows), len(rows[0])) == smallest_pivot(rows, t)
 
 
 @settings(max_examples=150, deadline=None)
