@@ -142,7 +142,10 @@ def _facet_normals(coords, dim):
             l = l if values[j] > 0 else tuple(-x for x in l)
             del values[j]
             lines = [primitivize(tuple(s * x - v * y for x, y in zip(m, l))) for m, v in zip(lines, values)]
-            rays = [(primitivize(tuple(s * x - _dot(c, y) * w for x, w in zip(y, l))), z | bit) for y, z in rays]
+            rays = [
+                (primitivize(tuple(s * x - v * w for x, w in zip(y, l))), z | bit)
+                for (y, z), v in zip(rays, [_dot(c, y) for y, _ in rays])
+            ]
             rays.append((l, bit - 1))
             continue
         kept, pos, neg = [], [], []

@@ -14,18 +14,19 @@ full per-morphism coequalizer (any compatible cocone factors through it the
 same way) and keeps the Smith reductions small.
 
 Every operation reads one DiagramAnalysis, built in a single pass on first
-use and cached on the diagram as ``d.analysis``: the sorted edges, the
-topological order (or the cycle flag) and each object's below-set as a
-bitmask over it, the path composites and T3 conflicts, the maximal ids,
-the composite image cones and their realizers, the violations, and, on
-first use, the colimit and the objects' image cones in it.  The cache is
-never refreshed, so a diagram must not be mutated after it is built.
-Order questions are bit operations: a set of ids has a unique maximal
-element exactly when its last id in that order has all of it below (T4,
-the colimit's meets, the extension's maximum processed face).  Face
-questions go to the cone records' face bitmasks: each composite carries a
-ray map, source ray -> target ray, and its image cone is read off that; a
-join inside a parent is an AND of its facets.
+use and cached on the diagram as ``d.analysis``: the topological order and
+each object's below-set as a bitmask over it, the path composites, the
+maximal ids, the composite image cones and their realizers, the
+violations, and, on first use, the colimit and the objects' image cones in
+it.  A subdiagram's tightness and join closure are read off its parent's
+analysis too.  The cache is never refreshed, so a diagram must not be
+mutated after it is built.  Order questions are bit operations: a set of
+ids has a unique maximal element exactly when its last id in that order
+has all of it below (T4, the colimit's meets, the extension's maximum
+processed face).  Face questions go to the cone records' face bitmasks:
+each composite carries a ray map, source ray -> target ray, and its image
+cone is read off that; a join inside a parent is an AND of its facets.
+Gluing and extension descend to the colimit through one solve.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from .intlin import (
     NotInLattice,
     int_vector,
     kernel_basis,
+    lattice_coordinates,
     rank,
-    solve_left,
 )
 from .monoid import (
     FaceMorphism,
@@ -128,6 +129,12 @@ class TightDiagram:
         return self.objects == other.objects and set(self.morphisms) == set(other.morphisms)
 
     @cached_property
+    def edges(self) -> tuple[DiagramMorphism, ...]:
+        """The distinct morphisms by (source, target, entries): the order of
+        T1 reports and of encoded documents."""
+        return tuple(sorted(set(self.morphisms), key=lambda e: (e.source_id, e.target_id, e.matrix.entries)))
+
+    @cached_property
     def analysis(self) -> DiagramAnalysis:
         return _analyse(self)
 
@@ -155,20 +162,18 @@ class DiagramAnalysis:
     """What one diagram's operations need to know about it; derived once, never modified.
 
     ``below`` is the one encoding of the order.  On a directed morphism
-    cycle only ``edges``, ``violations`` and ``cyclic`` are filled in;
-    everything else is empty.  ``images`` holds None where a composite
-    degenerates, which only happens when T1 fails.
+    cycle only ``objects`` and ``violations`` are filled in; everything else
+    is empty.  ``images`` holds None where a composite degenerates, which
+    only happens when T1 fails.
     ``colimit`` and ``object_images`` are computed on first use, handed
-    read-only to every caller, and raise NotTight unless the diagram is tight.
+    read-only to every caller, and raise NotTight unless the diagram is
+    tight; so does ``descend``, the one way down to the colimit lattice.
     """
 
     objects: Mapping[str, ToricMonoid]
-    edges: tuple[DiagramMorphism, ...]  # distinct, by (source, target, entries)
-    cyclic: bool
     order: tuple[str, ...]  # topological, sources first; bit k of a mask is order[k]
     below: Mapping[str, int]  # y -> mask of every x with a path x -> y, y included
     composites: Mapping[str, Mapping[str, IntMatrix]]  # x -> y -> matrix of the path x -> y
-    conflicts: tuple[str, ...]  # T3 reports for disagreeing parallel composites
     maximal_ids: tuple[str, ...]  # sorted ids with nothing above them
     images: Mapping[tuple[str, str], Cone | None]  # (x, y) -> x's cone inside y
     realizers: Mapping[str, Mapping[Cone | None, list[str]]]  # y -> image in y -> sorted x with it
@@ -225,6 +230,18 @@ class DiagramAnalysis:
         rays = [r for m in self.maximal_ids for r in _embedded_rays(self.objects[m], embeddings[m])]
         return ColimitResult(L, cone_from_rays(L, rays), MappingProxyType(embeddings))
 
+    def descend(self, restrictions: Mapping[str, IntMatrix], rows: int) -> IntMatrix:
+        """The rows x colimit_rank matrix of functionals on the colimit whose
+        rows restrict to those of restrictions[m] (rows x gp rank of m) on
+        each maximal object m's gp basis.  The maximal objects' embeddings
+        have independent stacked rows, so the answer is unique; NotInLattice
+        when it is not integral."""
+        c = self.colimit
+        ms = self.maximal_ids
+        basis = IntMatrix.from_rows([col for m in ms for col in c.embeddings[m].columns()], cols=c.colimit_rank)
+        target = IntMatrix.from_rows([col for m in ms for col in restrictions[m].columns()], cols=rows)
+        return lattice_coordinates(basis, target).transpose()
+
     @cached_property
     def object_images(self) -> Mapping[str, Cone]:
         """Each object's cone inside the colimit lattice."""
@@ -247,10 +264,7 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
     image is that face; the object itself stands for its improper face.
     T4 asks each pair's common below-set for a top element.
     """
-    objects = d.objects
-    edges = tuple(
-        sorted(set(d.morphisms), key=lambda e: (e.source_id, e.target_id, e.matrix.entries))
-    )
+    objects, edges = d.objects, d.edges
     violations = []
     for e in edges:
         f = FaceMorphism(objects[e.source_id], objects[e.target_id], e.matrix)
@@ -272,7 +286,7 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
         k += 1
     if len(order) < len(objects):
         violations.append("T3: the diagram contains a directed morphism cycle")
-        return DiagramAnalysis(objects, edges, True, (), {}, {}, (), (), {}, {}, tuple(violations))
+        return DiagramAnalysis(objects, (), {}, {}, (), {}, {}, tuple(violations))
 
     ray_index = {i: {r: k for k, r in enumerate(obj.cone.rays)} for i, obj in objects.items()}
     comp = {i: {} for i in objects}
@@ -293,8 +307,7 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
                     maps[x][tgt] = None if step is None or tail_map is None else tuple(tail_map[k] for k in step)
                 elif known != candidate:
                     conflicts.add(f"T3: parallel composites {x!r}->{tgt!r} disagree")
-    conflicts = tuple(sorted(conflicts))
-    violations.extend(conflicts)
+    violations.extend(sorted(conflicts))
 
     position = {i: k for k, i in enumerate(order)}
     below = dict.fromkeys(objects, 0)
@@ -331,8 +344,7 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
 
     maximal_ids = tuple(i for i in ids if len(comp[i]) == 1)
     return DiagramAnalysis(
-        objects, edges, False, tuple(order), below, comp, conflicts, maximal_ids, images, realizers,
-        tuple(violations),
+        objects, tuple(order), below, comp, maximal_ids, images, realizers, tuple(violations)
     )
 
 
@@ -403,43 +415,38 @@ def _embedded_rays(obj: ToricMonoid, emb: IntMatrix) -> list[tuple[int, ...]]:
     return [emb.apply(x) for x in ray_coordinates(obj.cone)]
 
 
-def induced_subdiagram(sub: Subdiagram) -> TightDiagram:
-    """Members with every parent composite between distinct members."""
-    analysis = sub.parent.analysis
-    if analysis.cyclic:
-        raise NotTightSubdiagram("parent has a morphism cycle")
-    comp = analysis.composites
-    members = sorted(sub.member_ids)
-    edges = []
-    for x in members:
-        for y in members:
-            if x != y and y in comp[x]:
-                edges.append(DiagramMorphism(x, y, comp[x][y]))
-    return TightDiagram({i: sub.parent.objects[i] for i in members}, edges)
-
-
 def is_join_closed(sub: Subdiagram):
     """Whether the member set is closed under joins taken inside any parent
     object above a member pair.
 
     Returns (True, None) or (False, (a, b, join_object_id)).  Raises NotTight
     when the parent is not tight and NotTightSubdiagram when members do not
-    form a tight diagram on their own.
+    form a tight diagram on their own.  The parent's composites between
+    members pass T1 and T3 as the parent does, so that is T2 (a member among
+    the realizers of each face of a member) and T4 (a top element of each
+    member pair's common below-set, cut down to the members).
     """
     d = sub.parent
     analysis = d.analysis
     analysis.require_tight()
-    if validate_tight(induced_subdiagram(sub)):
-        raise NotTightSubdiagram("members do not form a tight diagram")
-    comp, images = analysis.composites, analysis.images
+    comp, images, realizers = analysis.composites, analysis.images, analysis.realizers
+    order, below = analysis.order, analysis.below
     members = sorted(sub.member_ids)
+    inside = sum(1 << k for k, i in enumerate(order) if i in sub.member_ids)
+    realized = all(any(x in sub.member_ids for x in xs) for p in members for xs in realizers[p].values())
+    if not realized or any(
+        _top(below[a] & below[b] & inside, order, below) is None
+        for i, a in enumerate(members)
+        for b in members[i + 1 :]
+    ):
+        raise NotTightSubdiagram("members do not form a tight diagram")
     for i, a in enumerate(members):
         for b in members[i:]:
             for p in sorted(comp[a].keys() & comp[b].keys()):
                 join_face = face_join(d.objects[p].cone, images[a, p], images[b, p])
-                realizers = analysis.realizers[p][join_face]
-                if not any(x in sub.member_ids for x in realizers):
-                    return False, (a, b, realizers[0])
+                holders = realizers[p][join_face]
+                if not any(x in sub.member_ids for x in holders):
+                    return False, (a, b, holders[0])
     return True, None
 
 
@@ -537,20 +544,13 @@ def extend_diagram_functional(
             values[x] = restrict(values[b], x, b)
         current |= below[b]
 
-    colim = analysis.colimit
-    stacked = None
-    target_values: list[int] = []
-    for m in analysis.maximal_ids:
-        emb = colim.embeddings[m]
-        stacked = emb if stacked is None else stacked.hstack(emb)
-        target_values.extend(sum(a * b for a, b in zip(values[m], col)) for col in gp(d.objects[m]).columns())
-    if stacked is None:
-        return Functional(())
+    restrictions = {m: IntMatrix(1, len(values[m]), (values[m],)) @ gp(d.objects[m]) for m in analysis.maximal_ids}
     try:
-        phi = Functional(solve_left(stacked, tuple(target_values)))
+        phi = Functional(analysis.descend(restrictions, 1).row(0))
     except NotInLattice as exc:
         raise IncompatibleFamily("family does not descend to the colimit") from exc
 
+    colim = analysis.colimit
     for i in members:
         emb, basis = colim.embeddings[i], gp(d.objects[i])
         for j in range(emb.cols):

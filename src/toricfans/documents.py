@@ -354,9 +354,7 @@ def encode_diagram(d: TightDiagram) -> dict:
         "objects": {i: encode_monoid(o) for i, o in sorted(d.objects.items())},
         "morphisms": [
             {"from": e.source_id, "to": e.target_id, "matrix": encode_matrix(e.matrix)}
-            for e in sorted(
-                set(d.morphisms), key=lambda e: (e.source_id, e.target_id, e.matrix.entries)
-            )
+            for e in d.edges
         ],
     }
 

@@ -22,7 +22,6 @@ from .intlin import (
     invariant_factors,
     primitivize,
     rank,
-    solve_left,
 )
 from .monoid import gp
 
@@ -152,9 +151,11 @@ def glue(charts: ChartData) -> StackyFan:
     """Glue tight chart data into one stacky fan.
 
     The lattice is the diagram colimit, beta is the unique map the chart
-    betas induce on it, and the fan collects the inclusion-maximal images of
-    chart objects inside the colimit cone (their faces are implied, and by
-    tightness every face is itself a chart image).
+    betas induce on it (each row descends from the maximal charts' rows,
+    integrally because the betas agree along every morphism), and the fan
+    collects the inclusion-maximal images of chart objects inside the
+    colimit cone (their faces are implied, and by tightness every face is
+    itself a chart image).
     """
     analysis = charts.diagram.analysis
     analysis.require_tight()
@@ -163,21 +164,7 @@ def glue(charts: ChartData) -> StackyFan:
         if charts.betas[e.target_id] @ step != charts.betas[e.source_id]:
             raise IncompatibleBetas(f"betas disagree along {e.source_id!r}->{e.target_id!r}")
 
-    colim = analysis.colimit
-    stacked = None
-    values = None
-    for m in analysis.maximal_ids:
-        emb = colim.embeddings[m]
-        stacked = emb if stacked is None else stacked.hstack(emb)
-        values = charts.betas[m] if values is None else values.hstack(charts.betas[m])
-    if stacked is None:
-        beta = IntMatrix.zeros(charts.target_rank, 0)
-    else:
-        # the betas form a cocone, so each dual row descends integrally
-        beta = IntMatrix.from_rows(
-            [solve_left(stacked, values.row(r)) for r in range(charts.target_rank)],
-            cols=colim.colimit_rank,
-        )
+    beta = analysis.descend(charts.betas, charts.target_rank)
 
     distinct = {frozenset(c.rays) for c in analysis.object_images.values()}
     keep = sorted(
@@ -187,7 +174,7 @@ def glue(charts: ChartData) -> StackyFan:
     fan_rays = sorted(set().union(*keep)) if keep else []
     ray_index = {r: k for k, r in enumerate(fan_rays)}
     maximal_cones = sorted(tuple(sorted(ray_index[r] for r in s)) for s in keep)
-    fan = Fan(colim.colimit_rank, tuple(fan_rays), tuple(maximal_cones))
+    fan = Fan(analysis.colimit.colimit_rank, tuple(fan_rays), tuple(maximal_cones))
     return StackyFan(fan, beta, charts.target_rank)
 
 

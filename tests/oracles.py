@@ -4,14 +4,17 @@ Everything here is deliberately implemented from scratch, without calling the
 library paths under test: the triple-loop matrix product, fraction-free
 elimination for ranks and determinants, minor gcds for saturation, subset search for facets and
 supporting functionals, closures of ray subsets for faces, Caratheodory
-search for cone membership, a scan of every entry for the Smith pivot, and
-set inclusion with nothing between for face covers.
+search for cone membership, a scan of every entry for the Smith pivot,
+set inclusion with nothing between for face covers, and a subdiagram's
+members built into a diagram of their own and validated in full.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+
+from toricfans.diagram import DiagramMorphism, TightDiagram
 
 
 def matrix_product(a, b, cols):
@@ -269,3 +272,13 @@ def cover_pairs(ray_sets):
         for j, g in enumerate(sets)
         if f < g and not any(f < h < g for h in sets)
     ]
+
+
+def induced_subdiagram(sub):
+    """The members of a subdiagram of a tight parent as a diagram of their
+    own, with an edge for every parent composite between distinct members.
+    Its full validation is the reference for the members' tightness."""
+    comp = sub.parent.analysis.composites
+    members = sorted(sub.member_ids)
+    edges = [DiagramMorphism(x, y, comp[x][y]) for x in members for y in members if x != y and y in comp[x]]
+    return TightDiagram({i: sub.parent.objects[i] for i in members}, edges)

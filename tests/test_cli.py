@@ -455,10 +455,11 @@ def test_internal_error_is_exit_2_with_a_diagnostic(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "command, path, builds",
     [("validate", QUADRANT_DIAGRAM, 1), ("colimit", OCTANT, 1), ("glue", DOUBLED_LINE, 1),
-     ("extend", None, 2)],
+     ("extend", None, 1)],
 )
 def test_each_diagram_is_analysed_once(command, path, builds, tmp_path, monkeypatch, capsys):
-    # extend analyses the parent diagram and the members' induced subdiagram
+    # extend judges the members' tightness and join closure from the parent's
+    # analysis, so it builds no second diagram of the members alone
     if path is None:
         diagram = documents.loads(Path(QUADRANT_DIAGRAM).read_text("utf-8")).payload
         path = write_doc(

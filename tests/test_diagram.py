@@ -23,7 +23,6 @@ from toricfans.diagram import (
     coproduct,
     extend_diagram_functional,
     face_diagram,
-    induced_subdiagram,
     is_join_closed,
     validate_tight,
     verify_face_embeddings,
@@ -31,7 +30,7 @@ from toricfans.diagram import (
 from toricfans.intlin import IntMatrix, lattice_coordinates
 from toricfans.monoid import ToricMonoid, gp
 
-from oracles import cover_pairs
+from oracles import cover_pairs, induced_subdiagram
 from randomgen import below_sets, paraboloid_cone, random_pointed_cone, random_tight_diagram
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -174,6 +173,13 @@ def test_colimit_of_empty_diagram():
     assert c.colimit_rank == 0
     assert c.cone == cone_from_rays(0, [])
     assert c.embeddings == {}
+
+
+@pytest.mark.parametrize("mode", ["arbitrary", "nonneg_positive_away"])
+def test_extension_on_the_empty_diagram_is_the_empty_functional(mode):
+    # no maximal objects: the descent to the rank-0 colimit has nothing to stack
+    d = TightDiagram({}, [])
+    assert extend_diagram_functional(d, Subdiagram(d, frozenset()), {}, mode) == Functional(())
 
 
 def test_coproduct_drops_zero_only_components():
@@ -451,6 +457,66 @@ def _join_closed_by_face_scan(sub: Subdiagram):
                 if not any(x in sub.member_ids for x in realizers):
                     return False, (a, b, realizers[0])
     return True, None
+
+
+def _octants_glued_along_a_doubled_wall() -> TightDiagram:
+    """Two octants a, b glued along their (e1, e2) quadrant m, each also
+    holding its own copy of that quadrant over its own copies of e1 and e2;
+    every object sits in Z^3 and every edge is a face cover."""
+    axes = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
+    spec = {"o": ((), ()), "r1": ((1,), ("o",)), "r2": ((2,), ("o",)), "m": ((1, 2), ("r1", "r2"))}
+    for side in ("a", "b"):
+        spec.update({
+            f"{side}.r1": ((1,), ("o",)), f"{side}.r2": ((2,), ("o",)), f"{side}.r3": ((3,), ("o",)),
+            f"{side}.x": ((1, 2), (f"{side}.r1", f"{side}.r2")),
+            f"{side}.13": ((1, 3), ("r1", f"{side}.r3")),
+            f"{side}.23": ((2, 3), ("r2", f"{side}.r3")),
+            side: ((1, 2, 3), ("m", f"{side}.x", f"{side}.13", f"{side}.23")),
+        })
+    objects = {i: ToricMonoid(3, cone_from_rays(3, [axes[k] for k in ks])) for i, (ks, _) in spec.items()}
+    edges = [DiagramMorphism(x, y, IntMatrix.identity(3)) for y, (_, xs) in spec.items() for x in xs]
+    return TightDiagram(objects, edges)
+
+
+DOUBLED_WALL = _octants_glued_along_a_doubled_wall()
+
+
+def test_members_can_realize_every_face_yet_lack_a_meet():
+    # without m, every face of a and b still has a member realizing it, but
+    # their common members r1 and r2 have nothing above both
+    assert validate_tight(DOUBLED_WALL) == ()
+    sub = Subdiagram(DOUBLED_WALL, frozenset(DOUBLED_WALL.objects) - {"m"})
+    assert validate_tight(induced_subdiagram(sub)) == ("T4: objects 'a', 'b' have 2 maximal common faces",)
+    with pytest.raises(NotTightSubdiagram):
+        is_join_closed(sub)
+    assert is_join_closed(Subdiagram(DOUBLED_WALL, frozenset(DOUBLED_WALL.objects))) == (True, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.sampled_from(["down-closed", "arbitrary", "down-closed, then edited", "all but a few"]))
+def test_member_tightness_matches_a_full_validation(seed, shape):
+    # the members' verdict read off the parent's analysis against building
+    # them into a diagram of their own and validating it in full
+    rng = random.Random(seed)
+    d = DOUBLED_WALL if rng.random() < 0.2 else random_tight_diagram(rng)
+    below = below_sets(d)
+    ids = sorted(d.objects)
+    if shape == "arbitrary":
+        members = {i for i in ids if rng.random() < 0.5}
+    elif shape == "all but a few":
+        members = set(ids) - set(rng.sample(ids, rng.randint(1, min(len(ids), 2))))
+    else:
+        members = set()
+        for i in rng.sample(ids, rng.randint(0, min(len(ids), 3))):
+            members |= below[i]
+        if shape != "down-closed":
+            members ^= set(rng.sample(ids, rng.randint(1, min(len(ids), 2))))
+    sub = Subdiagram(d, frozenset(members))
+    if validate_tight(induced_subdiagram(sub)):
+        with pytest.raises(NotTightSubdiagram):
+            is_join_closed(sub)
+    else:
+        assert is_join_closed(sub) == _join_closed_by_face_scan(sub)
 
 
 @settings(max_examples=60, deadline=None)

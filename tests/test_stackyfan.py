@@ -132,6 +132,13 @@ def test_glue_doubled_line_pinned():
     assert group_description(sf) == GroupDescription(1, ())
 
 
+def test_glue_of_no_charts_is_the_empty_fan():
+    # no maximal objects: the descent to the rank-0 colimit has nothing to stack
+    sf = glue(ChartData(TightDiagram({}, []), {}, 0))
+    assert sf.beta == IntMatrix.zeros(0, 0)
+    assert sf.fan == Fan(0, (), ())
+
+
 def test_glue_single_chart_is_identity():
     c = cone_from_rays(2, [(1, 0), (0, 1)])
     sf = glue(_face_fan_charts(c))
