@@ -137,7 +137,7 @@ def cmd_extend(doc: Document, base_dir: Path) -> tuple[Document, int]:
         sub = Subdiagram(d, frozenset(members))
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    phi = extend_diagram_functional(d, sub, chi, mode)
+    phi = extend_diagram_functional(sub, chi, mode)
 
     images = d.analysis.object_images
     member_rays = set()

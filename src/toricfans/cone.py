@@ -29,10 +29,8 @@ from .errors import InternalError
 from .intlin import (
     IntMatrix,
     ReducedBasis,
-    complement_summand,
     int_vector,
     kernel_basis,
-    lattice_coordinates,
     primitivize,
     reduce_basis,
 )
@@ -212,14 +210,10 @@ class _Analysis:
 
     @cached_property
     def dual_generators(self) -> tuple[tuple[int, ...], ...]:
-        """Facet normals lifted to the ambient dual lattice by the projection
-        that is the identity on the span basis and kills a complement summand,
+        """Facet normals lifted to the ambient dual lattice through the span
+        basis's own row reduction, vanishing on a complement summand,
         primitive and sorted."""
-        if not self.facets:
-            return ()
-        square = self.basis.hstack(complement_summand(self.basis))
-        proj = lattice_coordinates(square, IntMatrix.identity(self.ambient_rank)).entries[: self.basis.cols]
-        return tuple(sorted(primitivize(tuple(_dot(h, col) for col in zip(*proj))) for h in self.facets))
+        return tuple(sorted(primitivize(self.reduced.lift(h)) for h in self.facets))
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:

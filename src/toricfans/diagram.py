@@ -60,7 +60,6 @@ from .intlin import (
 )
 from .monoid import (
     FaceMorphism,
-    MonoidFunctional,
     NegativeOnFace,
     ToricMonoid,
     extend_functional,
@@ -424,7 +423,10 @@ def is_join_closed(sub: Subdiagram):
     form a tight diagram on their own.  The parent's composites between
     members pass T1 and T3 as the parent does, so that is T2 (a member among
     the realizers of each face of a member) and T4 (a top element of each
-    member pair's common below-set, cut down to the members).
+    member pair's common below-set, cut down to the members).  A pair with
+    one member below the other is not checked: in a tight parent the lower
+    one's image lies in the upper one's, so the join is the upper one's
+    image, which it realizes.
     """
     d = sub.parent
     analysis = d.analysis
@@ -432,7 +434,8 @@ def is_join_closed(sub: Subdiagram):
     comp, images, realizers = analysis.composites, analysis.images, analysis.realizers
     order, below = analysis.order, analysis.below
     members = sorted(sub.member_ids)
-    inside = sum(1 << k for k, i in enumerate(order) if i in sub.member_ids)
+    bit = {i: 1 << k for k, i in enumerate(order) if i in sub.member_ids}
+    inside = sum(bit.values())
     realized = all(any(x in sub.member_ids for x in xs) for p in members for xs in realizers[p].values())
     if not realized or any(
         _top(below[a] & below[b] & inside, order, below) is None
@@ -441,7 +444,9 @@ def is_join_closed(sub: Subdiagram):
     ):
         raise NotTightSubdiagram("members do not form a tight diagram")
     for i, a in enumerate(members):
-        for b in members[i:]:
+        for b in members[i + 1 :]:
+            if below[b] & bit[a] or below[a] & bit[b]:
+                continue  # the join is the upper one's image, which it realizes
             for p in sorted(comp[a].keys() & comp[b].keys()):
                 join_face = face_join(d.objects[p].cone, images[a, p], images[b, p])
                 holders = realizers[p][join_face]
@@ -451,13 +456,12 @@ def is_join_closed(sub: Subdiagram):
 
 
 def extend_diagram_functional(
-    d: TightDiagram,
     sub: Subdiagram,
     chi: Mapping[str, Sequence[int]],
     mode: str = "nonneg_positive_away",
 ) -> Functional:
     """Extend a compatible family of functionals off a join-closed subdiagram
-    to a single functional on the colimit lattice.
+    to a single functional on the colimit lattice of its parent.
 
     Follows the inductive proof: repeatedly take the maximal outside object b
     (lexicographically smallest id on ties); when nothing processed sits
@@ -468,13 +472,13 @@ def extend_diagram_functional(
     image lies outside the members' images.
 
     chi maps member id to int coefficients in that member's ambient dual;
-    floats and bools raise TypeError.
+    floats and bools raise TypeError.  The family is kept as one-row
+    matrices, so restriction along a composite is a product.
     Raises NotJoinClosed, IncompatibleFamily, NegativeOnSub.
     """
     if mode not in ("arbitrary", "nonneg_positive_away"):
         raise ValueError(f"unknown mode {mode!r}")
-    if sub.parent is not d:
-        raise ValueError("subdiagram does not belong to this diagram")
+    d = sub.parent
     analysis = d.analysis
     analysis.require_tight()
     closed, witness = is_join_closed(sub)
@@ -489,29 +493,19 @@ def extend_diagram_functional(
         coeffs = int_vector(chi[i])
         if len(coeffs) != d.objects[i].lattice_rank:
             raise IncompatibleFamily(f"coefficients for {i!r} have the wrong length")
-        values[i] = coeffs
+        values[i] = IntMatrix(1, len(coeffs), (coeffs,))
 
     comp, order, below = analysis.composites, analysis.order, analysis.below
-
-    def restrict(vals: Sequence[int], src: str, tgt: str) -> tuple[int, ...]:
-        # pull a functional on tgt back along the composite src -> tgt
-        m = comp[src][tgt]
-        return tuple(sum(vals[r] * m.entries[r][c] for r in range(m.rows)) for c in range(m.cols))
-
     for x in members:
+        on_gp = values[x] @ gp(d.objects[x])
         for y in members:
-            if x != y and y in comp[x]:
-                pulled = restrict(values[y], x, y)
-                for col in gp(d.objects[x]).columns():
-                    if sum(a * b for a, b in zip(pulled, col)) != sum(a * b for a, b in zip(values[x], col)):
-                        raise IncompatibleFamily(
-                            f"functionals on {x!r} and {y!r} disagree along {x!r}->{y!r}"
-                        )
+            if x != y and y in comp[x] and values[y] @ comp[x][y] @ gp(d.objects[x]) != on_gp:
+                raise IncompatibleFamily(f"functionals on {x!r} and {y!r} disagree along {x!r}->{y!r}")
 
     if mode == "nonneg_positive_away":
         for i in members:
             for r in d.objects[i].cone.rays:
-                if sum(a * b for a, b in zip(values[i], r)) < 0:
+                if values[i].apply(r)[0] < 0:
                     raise NegativeOnSub(f"negative on ray {r} of member {i!r}")
 
     bit = {i: 1 << k for k, i in enumerate(order)}
@@ -521,7 +515,7 @@ def extend_diagram_functional(
         b = min(_ids(_maximal_bits(everything & ~current, order, below), order))
         uppers = sorted(j for j in comp[b] if j != b and current & bit[j])
         if uppers:
-            values[b] = restrict(values[uppers[0]], b, uppers[0])
+            values[b] = values[uppers[0]] @ comp[b][uppers[0]]
         else:
             processed_faces = below[b] & current
             if processed_faces:
@@ -529,35 +523,33 @@ def extend_diagram_functional(
                 if dm is None:
                     raise InternalError(f"no unique maximum processed face of {b!r}")
                 morphism = FaceMorphism(d.objects[dm], d.objects[b], comp[dm][b])
-                psi = MonoidFunctional(d.objects[dm], Functional(values[dm]))
+                psi = Functional(values[dm].row(0))
             else:
                 origin = ToricMonoid(0, cone_from_rays(0, []))
                 morphism = FaceMorphism(origin, d.objects[b], IntMatrix.zeros(d.objects[b].lattice_rank, 0))
-                psi = MonoidFunctional(origin, Functional(()))
+                psi = Functional(())
             try:
-                extended = extend_functional(d.objects[b], morphism, psi, mode)
+                extended = extend_functional(morphism, psi, mode).coefficients
             except NegativeOnFace as exc:  # family was checked, so only forced values trip this
                 raise IncompatibleFamily(str(exc)) from exc
-            values[b] = extended.coefficients.coefficients
+            values[b] = IntMatrix(1, len(extended), (extended,))
         current |= bit[b]
         for x in _ids(below[b] & ~current, order):
-            values[x] = restrict(values[b], x, b)
+            values[x] = values[b] @ comp[x][b]
         current |= below[b]
 
-    restrictions = {m: IntMatrix(1, len(values[m]), (values[m],)) @ gp(d.objects[m]) for m in analysis.maximal_ids}
+    restrictions = {m: values[m] @ gp(d.objects[m]) for m in analysis.maximal_ids}
     try:
-        phi = Functional(analysis.descend(restrictions, 1).row(0))
+        row = analysis.descend(restrictions, 1)
     except NotInLattice as exc:
         raise IncompatibleFamily("family does not descend to the colimit") from exc
 
     colim = analysis.colimit
     for i in members:
-        emb, basis = colim.embeddings[i], gp(d.objects[i])
-        for j in range(emb.cols):
-            want = sum(a * b for a, b in zip(values[i], basis.col(j)))
-            if phi(emb.col(j)) != want:
-                raise IncompatibleFamily("family does not descend to the colimit")
+        if row @ colim.embeddings[i] != values[i] @ gp(d.objects[i]):
+            raise IncompatibleFamily("family does not descend to the colimit")
 
+    phi = Functional(row.row(0))
     if mode == "nonneg_positive_away":
         images = analysis.object_images
         member_rays = {r for i in members for r in images[i].rays}

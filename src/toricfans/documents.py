@@ -16,7 +16,9 @@ outputs before they are written.  A rejection is worded here, as jsonschema
 import jsonschema.  The decoders refuse what the schema lets through but is no
 integer: ``2.0`` for a rank or cone index, and a decimal string that is not
 exactly ``-?[0-9]+``.  An integer longer than Python's int digit limit
-(4300 by default) is refused, in a number literal or a string.
+(4300 by default) is refused, in a number literal or a string.  A stated
+rank (ambient, lattice or target) above MAX_RANK is refused before any
+analysis.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ from .stackyfan import ChartData, Fan, InfiniteCokernel, StackyFan
 
 FORMAT_VERSION = "1"
 _SAFE_BOUND = 2**53 - 1
+# analysing a cone costs time cubic and memory quadratic in its ambient
+# rank, rays or not, so a stated rank above this is refused up front
+MAX_RANK = 1000
 
 KINDS = (
     "cone",
@@ -301,6 +306,12 @@ def decode_int(v) -> int:
     return v
 
 
+def _within_limit(rank: int) -> int:
+    if rank > MAX_RANK:
+        raise DocumentError(f"rank {rank} is above the limit of {MAX_RANK}")
+    return rank
+
+
 def encode_vector(v) -> list:
     return [encode_int(x) for x in v]
 
@@ -334,7 +345,7 @@ def decode_cone(payload) -> Cone:
     rays = [decode_vector(r) for r in payload["rays"]]
     if any(len(r) != n for r in rays):
         raise DocumentError("ray length does not match ambient_rank")
-    return cone_from_rays(n, rays)
+    return cone_from_rays(_within_limit(n), rays)
 
 
 def encode_monoid(m: ToricMonoid) -> dict:
@@ -343,7 +354,7 @@ def encode_monoid(m: ToricMonoid) -> dict:
 
 def decode_monoid(payload) -> ToricMonoid:
     n = decode_int(payload["lattice_rank"])
-    # compared first: analysing a cone with no rays costs its ambient rank squared
+    # compared first; decode_cone then holds the rank to MAX_RANK
     if decode_int(payload["cone"]["ambient_rank"]) != n:
         raise DocumentError("cone ambient_rank differs from lattice_rank")
     return ToricMonoid(n, decode_cone(payload["cone"]))
@@ -385,13 +396,15 @@ def encode_fan(f: Fan) -> dict:
 
 def decode_fan(payload) -> Fan:
     try:
-        return Fan(
+        fan = Fan(
             decode_int(payload["lattice_rank"]),
             tuple(decode_vector(r) for r in payload["rays"]),
             tuple(decode_vector(ixs) for ixs in payload["maximal_cones"]),
         )
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
+    _within_limit(fan.lattice_rank)
+    return fan
 
 
 def encode_stackyfan(sf: StackyFan, reports: dict | None = None) -> dict:
@@ -408,8 +421,9 @@ def encode_stackyfan(sf: StackyFan, reports: dict | None = None) -> dict:
 def decode_stackyfan(payload) -> StackyFan:
     fan = decode_fan(payload["fan"])
     beta = decode_matrix(payload["beta"], fan.lattice_rank)
+    target_rank = _within_limit(decode_int(payload["target_rank"]))
     try:
-        return StackyFan(fan, beta, decode_int(payload["target_rank"]))
+        return StackyFan(fan, beta, target_rank)
     except InfiniteCokernel:
         raise
     except ValueError as exc:
@@ -430,8 +444,9 @@ def decode_charts(payload) -> ChartData:
     for i, raw in payload["betas"].items():
         hint = gp(d.objects[i]).cols if i in d.objects else None
         betas[i] = decode_matrix(raw, hint)
+    target_rank = _within_limit(decode_int(payload["target_rank"]))
     try:
-        return ChartData(d, betas, decode_int(payload["target_rank"]))
+        return ChartData(d, betas, target_rank)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 

@@ -12,9 +12,10 @@ pivot rule, and the transforms ride along on request:
 - smith_normal_form builds U and V;
 - kernel_basis builds V only;
 - invariant_factors, rank and cokernel_invariants build neither;
-- reduce_basis builds the echelon transform u, once per basis, and
-  ReducedBasis.coordinates solves against it as often as asked;
-  lattice_coordinates (and solve_left) are the two in one call;
+- reduce_basis builds the echelon transform u, once per basis;
+  ReducedBasis.coordinates solves against it as often as asked, and
+  ReducedBasis.lift lifts functionals off a saturated basis through it;
+  lattice_coordinates is reduce_basis and coordinates in one call;
 - complement_summand and saturate build its inverse only.
 
 from_rows and from_cols check every entry of what callers hand in; the
@@ -426,12 +427,31 @@ def complement_summand(b: IntMatrix) -> IntMatrix:
 @dataclass(frozen=True)
 class ReducedBasis:
     """A basis with independent columns, row reduced once: u @ basis ==
-    echelon, with the (row, col) pivot positions of the echelon form.
-    coordinates solves against it as often as asked."""
+    echelon == [T; 0], with T upper triangular and its pivots (i, i) on the
+    diagonal.  coordinates solves against it as often as asked; lift
+    extends functionals off it when it is saturated."""
 
     u: IntMatrix
     echelon: IntMatrix
     pivots: tuple[tuple[int, int], ...]
+
+    def lift(self, values: Sequence[int]) -> tuple[int, ...]:
+        """The functional on the ambient lattice that takes values on the
+        basis columns and vanishes on the complement complement_summand
+        picks, the trailing columns of u^-1: y @ u[:k] with y @ T == values.
+        Raises NotSaturated unless every pivot is 1, which for independent
+        columns is when the basis is saturated (T is unimodular)."""
+        ech, k = self.echelon.entries, len(self.pivots)
+        if len(values) != k:
+            raise ValueError("value count does not match the basis")
+        if any(ech[i][i] != 1 for i, _ in self.pivots):
+            raise NotSaturated("column lattice is not saturated")
+        y = []
+        for j in range(k):
+            y.append(values[j] - sum(y[i] * ech[i][j] for i in range(j)))
+        if not k:
+            return (0,) * self.u.cols
+        return tuple(sum(map(mul, y, col)) for col in zip(*self.u.entries[:k]))
 
     def coordinates(self, target: IntMatrix) -> IntMatrix:
         """Solve basis @ X == target exactly over Z; raises NotInLattice
@@ -483,16 +503,6 @@ def lattice_coordinates(basis: IntMatrix, target: IntMatrix) -> IntMatrix:
     if basis.rows != target.rows:
         raise ValueError("row count mismatch")
     return reduce_basis(basis).coordinates(target)
-
-
-def solve_left(rows_matrix: IntMatrix, w: Sequence[int]) -> tuple[int, ...]:
-    """Find phi with phi @ rows_matrix == w, exactly over Z.
-
-    rows_matrix must have independent rows spanning a saturated row lattice
-    containing w (the callers guarantee this; NotInLattice otherwise).
-    """
-    x = lattice_coordinates(rows_matrix.transpose(), IntMatrix.from_cols([tuple(w)], rows=rows_matrix.cols))
-    return x.col(0)
 
 
 def primitivize(v: Sequence[int]) -> tuple[int, ...]:

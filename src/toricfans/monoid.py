@@ -20,13 +20,7 @@ from .cone import (
     supporting_functional,
 )
 from .errors import InternalError
-from .intlin import (
-    IntMatrix,
-    complement_summand,
-    invariant_factors,
-    rank,
-    solve_left,
-)
+from .intlin import IntMatrix, invariant_factors, reduce_basis
 
 
 class NegativeOnFace(ValueError):
@@ -63,34 +57,6 @@ class FaceMorphism:
             raise ValueError("morphism matrix shape does not match the lattices")
 
 
-@dataclass(frozen=True, eq=False)
-class MonoidFunctional:
-    """Integer functional on a monoid, represented in the ambient dual.
-
-    Only the restriction to gp(on) carries meaning: two representatives are
-    equal when they agree on the gp basis.
-    """
-
-    on: ToricMonoid
-    coefficients: Functional
-
-    def __post_init__(self):
-        if len(self.coefficients.coefficients) != self.on.lattice_rank:
-            raise ValueError("coefficient length does not match the lattice")
-
-    def gp_values(self) -> tuple[int, ...]:
-        basis = gp(self.on)
-        return tuple(self.coefficients(basis.col(j)) for j in range(basis.cols))
-
-    def __eq__(self, other):
-        if not isinstance(other, MonoidFunctional):
-            return NotImplemented
-        return self.on == other.on and self.gp_values() == other.gp_values()
-
-    def __hash__(self):
-        return hash((self.on, self.gp_values()))
-
-
 def gp(m: ToricMonoid) -> IntMatrix:
     """Saturated basis (columns) of the group completion: lattice points of
     the span of the cone."""
@@ -106,18 +72,22 @@ def verify_face_morphism(f: FaceMorphism) -> tuple[str, ...]:
     """Check that f includes its source as a proper face of its target.
 
     Returns the violations found (empty tuple means ok): "not injective",
-    "image not a face", "not saturated", "face not proper".
+    "image not a face", "not saturated", "face not proper".  One Smith
+    reduction of the map decides injectivity, and when all its invariant
+    factors are 1 the map splits, so it keeps the saturated gp saturated;
+    only otherwise is the image of gp reduced.
     """
+    factors = invariant_factors(f.map)
+    if len(factors) != f.map.cols:
+        return ("not injective",)
     violations = []
-    if rank(f.map) != f.map.cols:
-        violations.append("not injective")
-        return tuple(violations)
     img = image_cone(f)
     if not is_face(f.target.cone, img):
         violations.append("image not a face")
-    s = f.map @ gp(f.source)
-    if invariant_factors(s) != tuple([1] * s.cols):
-        violations.append("not saturated")
+    if any(x != 1 for x in factors):
+        s = f.map @ gp(f.source)
+        if invariant_factors(s) != tuple([1] * s.cols):
+            violations.append("not saturated")
     if not violations and img == f.target.cone:
         violations.append("face not proper")
     return tuple(violations)
@@ -127,55 +97,48 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def extend_functional(
-    m: ToricMonoid,
-    f: FaceMorphism,
-    psi: MonoidFunctional,
-    mode: str = "nonneg_positive_away",
-) -> MonoidFunctional:
-    """Extend psi from the face included by f to all of m.
+def extend_functional(f: FaceMorphism, psi: Functional, mode: str = "nonneg_positive_away") -> Functional:
+    """Extend psi, a functional on the source lattice of f, to the target.
 
-    The extension is deterministic: express psi on the image gp basis, set it
-    to zero on the complement summand, and in mode "nonneg_positive_away" add
-    the smallest multiple of the face's supporting functional that makes the
-    value at least 1 on every ray outside the face.  The improper face is
-    accepted and simply re-expresses psi.
+    The extension is deterministic: lift psi's values on the gp basis of
+    the source, carried in by f, to the functional that vanishes on the
+    basis's complement summand (ReducedBasis.lift), and in mode
+    "nonneg_positive_away" add the smallest multiple of the face's
+    supporting functional that makes the value at least 1 on every ray
+    outside the face.  Only psi's values on gp of the source matter.  The
+    improper face is accepted and simply re-expresses psi.
 
     Raises NegativeOnFace in positive mode when psi is negative on a source
     ray; restriction along f is exact in both modes.
     """
     if mode not in ("arbitrary", "nonneg_positive_away"):
         raise ValueError(f"unknown mode {mode!r}")
-    if f.target != m:
-        raise ValueError("morphism does not land in the monoid being extended")
-    if psi.on != f.source:
-        raise ValueError("functional does not live on the morphism's source")
+    if len(psi.coefficients) != f.source.lattice_rank:
+        raise ValueError("coefficient length does not match the source lattice")
 
     basis = gp(f.source)
     s = f.map @ basis
-    w = [psi.coefficients(basis.col(j)) for j in range(basis.cols)]
-    square = s.hstack(complement_summand(s))
-    chi0 = solve_left(square, tuple(w) + (0,) * (m.lattice_rank - s.cols))
+    w = [psi(basis.col(j)) for j in range(basis.cols)]
+    chi0 = reduce_basis(s).lift(w)
 
     if mode == "arbitrary":
-        out = MonoidFunctional(m, Functional(chi0))
+        out = Functional(chi0)
     else:
         for r in f.source.cone.rays:
-            if psi.coefficients(r) < 0:
+            if psi(r) < 0:
                 raise NegativeOnFace(f"negative on source ray {r}")
-        img = image_cone(f)
-        chi_face = supporting_functional(m.cone, img)
+        target = f.target.cone
+        chi_face = supporting_functional(target, image_cone(f))
         k = 0
-        for r in m.cone.rays:
+        for r in target.rays:
             gap = chi_face(r)
             if gap:  # rays on the face have gap 0 and stay untouched
                 have = sum(a * b for a, b in zip(chi0, r))
                 if have < 1:
                     k = max(k, _ceil_div(1 - have, gap))
-        total = tuple(a + k * b for a, b in zip(chi0, chi_face.coefficients))
-        out = MonoidFunctional(m, Functional(total))
+        out = Functional(tuple(a + k * b for a, b in zip(chi0, chi_face.coefficients)))
 
     # restriction along f must reproduce psi on the nose
-    if [out.coefficients(s.col(j)) for j in range(s.cols)] != w:
+    if [out(s.col(j)) for j in range(s.cols)] != w:
         raise InternalError("extended functional does not restrict to the given one")
     return out

@@ -6,7 +6,10 @@ elimination for ranks and determinants, minor gcds for saturation, subset search
 supporting functionals, closures of ray subsets for faces, Caratheodory
 search for cone membership, a scan of every entry for the Smith pivot,
 set inclusion with nothing between for face covers, and a subdiagram's
-members built into a diagram of their own and validated in full.
+members built into a diagram of their own and validated in full.  Two
+keep a longer library route as the reference for a shorter one: a lift
+off a saturated basis through an explicit complement summand, and T1's
+saturation test on the image of gp whatever the map's invariant factors.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
+from toricfans.cone import is_face
 from toricfans.diagram import DiagramMorphism, TightDiagram
+from toricfans.intlin import IntMatrix, complement_summand, invariant_factors, lattice_coordinates, rank
+from toricfans.monoid import gp, image_cone
 
 
 def matrix_product(a, b, cols):
@@ -282,3 +288,29 @@ def induced_subdiagram(sub):
     members = sorted(sub.member_ids)
     edges = [DiagramMorphism(x, y, comp[x][y]) for x in members for y in members if x != y and y in comp[x]]
     return TightDiagram({i: sub.parent.objects[i] for i in members}, edges)
+
+
+def lift_by_complement(basis, values):
+    """The functional taking values on the columns of a saturated basis and
+    vanishing on complement_summand(basis): solve phi @ [basis | complement]
+    == values followed by zeros, the square being unimodular."""
+    square = basis.hstack(complement_summand(basis))
+    rhs = IntMatrix.from_cols([tuple(values) + (0,) * (basis.rows - basis.cols)], rows=basis.rows)
+    return lattice_coordinates(square.transpose(), rhs).col(0)
+
+
+def face_morphism_violations(f):
+    """T1 for a FaceMorphism in two steps: the map's rank for injectivity,
+    then the invariant factors of the image of gp for saturation."""
+    if rank(f.map) != f.map.cols:
+        return ("not injective",)
+    violations = []
+    img = image_cone(f)
+    if not is_face(f.target.cone, img):
+        violations.append("image not a face")
+    s = f.map @ gp(f.source)
+    if invariant_factors(s) != tuple([1] * s.cols):
+        violations.append("not saturated")
+    if not violations and img == f.target.cone:
+        violations.append("face not proper")
+    return tuple(violations)

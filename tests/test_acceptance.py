@@ -137,7 +137,7 @@ def test_criterion_2_functional_extension():
                 a = rng.randint(-2, 2)
                 delta = [x + a * y for x, y in zip(delta, ann.col(j))]
             chi[i] = tuple(p + x for p, x in zip(psi, delta))
-        phi = extend_diagram_functional(d, Subdiagram(d, members), chi)
+        phi = extend_diagram_functional(Subdiagram(d, members), chi)
 
         colim = colimit(d)
         for i in members:

@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -441,6 +442,41 @@ def test_unreadable_integers_are_usage_errors(argv, text, message, tmp_path, cap
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def _bare_monoid(rank: int) -> dict:
+    return {"lattice_rank": rank, "cone": {"ambient_rank": rank, "rays": []}}
+
+
+@pytest.mark.parametrize(
+    "argv, kind, body, rank",
+    [
+        (["validate"], "monoid", _bare_monoid(documents.MAX_RANK + 1), documents.MAX_RANK + 1),
+        (["validate"], "monoid", _bare_monoid(2000), 2000),
+        (["validate"], "monoid", _bare_monoid(2**60), 2**60),
+        (["check", "--which", "group"], "fan", _fan_with(lattice_rank=2**60, rays=[], maximal_cones=[]), 2**60),
+        (["check", "--which", "group"], "stackyfan",
+         {"fan": _fan_with(), "beta": [[1, 0], [0, 1]], "target_rank": 2**60}, 2**60),
+        (["glue"], "charts",
+         {**json.loads(Path(DOUBLED_LINE).read_text("utf-8"))["payload"], "target_rank": 2**60}, 2**60),
+    ],
+)
+def test_ranks_above_the_limit_are_refused_up_front(argv, kind, body, rank, tmp_path, capsys):
+    # a stated rank costs cubic time and quadratic memory with no data behind it
+    path = write_doc(tmp_path / "doc.json", kind, body)
+    start = time.process_time()
+    code, out, err = invoke([*argv, "--input", path], capsys)
+    assert time.process_time() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err == f"error: rank {rank} is above the limit of {documents.MAX_RANK}\n"
+
+
+def test_a_rank_at_the_limit_is_analysed(tmp_path, capsys):
+    path = write_doc(tmp_path / "doc.json", "monoid", _bare_monoid(documents.MAX_RANK))
+    code, out, err = invoke(["validate", "--input", path], capsys)
+    assert code == 0 and err == ""
+    assert payload(out) == {"ok": True}
 
 
 def test_internal_error_is_exit_2_with_a_diagnostic(monkeypatch, capsys):

@@ -179,7 +179,7 @@ def test_colimit_of_empty_diagram():
 def test_extension_on_the_empty_diagram_is_the_empty_functional(mode):
     # no maximal objects: the descent to the rank-0 colimit has nothing to stack
     d = TightDiagram({}, [])
-    assert extend_diagram_functional(d, Subdiagram(d, frozenset()), {}, mode) == Functional(())
+    assert extend_diagram_functional(Subdiagram(d, frozenset()), {}, mode) == Functional(())
 
 
 def test_coproduct_drops_zero_only_components():
@@ -254,7 +254,7 @@ def test_extend_from_zero_and_axis_pinned():
     d = face_diagram(QUADRANT)
     sub = Subdiagram(d, frozenset({ZERO, E1_RAY}))
     chi = {ZERO: (0, 0), E1_RAY: (1, 0)}
-    out = extend_diagram_functional(d, sub, chi, "nonneg_positive_away")
+    out = extend_diagram_functional(sub, chi, "nonneg_positive_away")
     assert out == Functional((1, 1))
 
 
@@ -262,21 +262,21 @@ def test_extend_on_full_subdiagram_returns_the_family():
     d = face_diagram(QUADRANT)
     sub = Subdiagram(d, frozenset(d.objects))
     chi = {ZERO: (0, 0), E2_RAY: (2, 3), E1_RAY: (2, 3), FULL: (2, 3)}
-    out = extend_diagram_functional(d, sub, chi, "nonneg_positive_away")
+    out = extend_diagram_functional(sub, chi, "nonneg_positive_away")
     assert out == Functional((2, 3))
 
 
 def test_extend_octant_from_origin_pinned():
     d = face_diagram(OCTANT)
     sub = Subdiagram(d, frozenset({"f"}))
-    out = extend_diagram_functional(d, sub, {"f": (0, 0, 0)}, "nonneg_positive_away")
+    out = extend_diagram_functional(sub, {"f": (0, 0, 0)}, "nonneg_positive_away")
     assert out == Functional((1, 1, 1))
 
 
 def test_extend_arbitrary_mode_allows_negatives():
     d = face_diagram(QUADRANT)
     sub = Subdiagram(d, frozenset({ZERO, E1_RAY}))
-    out = extend_diagram_functional(d, sub, {ZERO: (0, 0), E1_RAY: (-1, 0)}, "arbitrary")
+    out = extend_diagram_functional(sub, {ZERO: (0, 0), E1_RAY: (-1, 0)}, "arbitrary")
     assert out == Functional((-1, 0))
 
 
@@ -284,7 +284,7 @@ def test_extend_across_components():
     d = coproduct(NAT_LINE, NAT_LINE)
     sub = Subdiagram(d, frozenset({"0", "a:f_0"}))
     chi = {"0": (), "a:f_0": (3,)}
-    out = extend_diagram_functional(d, sub, chi, "nonneg_positive_away")
+    out = extend_diagram_functional(sub, chi, "nonneg_positive_away")
     # restricts to 3 on the a-ray, forced to at least 1 on the b-ray
     assert out == Functional((3, 1))
 
@@ -294,7 +294,7 @@ def test_extend_rejects_non_join_closed_sub():
     sub = Subdiagram(d, frozenset({ZERO, E2_RAY, E1_RAY}))
     chi = {ZERO: (0, 0), E2_RAY: (1, 1), E1_RAY: (1, 1)}
     with pytest.raises(NotJoinClosed) as info:
-        extend_diagram_functional(d, sub, chi)
+        extend_diagram_functional(sub, chi)
     assert info.value.witness == (E2_RAY, E1_RAY, FULL)
 
 
@@ -303,14 +303,14 @@ def test_extend_rejects_incompatible_family():
     sub = Subdiagram(d, frozenset(d.objects))
     chi = {ZERO: (0, 0), E2_RAY: (0, 1), E1_RAY: (2, 3), FULL: (2, 3)}
     with pytest.raises(IncompatibleFamily):
-        extend_diagram_functional(d, sub, chi)
+        extend_diagram_functional(sub, chi)
 
 
 def test_extend_rejects_wrong_family_keys():
     d = face_diagram(QUADRANT)
     sub = Subdiagram(d, frozenset({ZERO, E1_RAY}))
     with pytest.raises(IncompatibleFamily):
-        extend_diagram_functional(d, sub, {ZERO: (0, 0)})
+        extend_diagram_functional(sub, {ZERO: (0, 0)})
 
 
 def test_extend_rejects_negative_family_in_positive_mode():
@@ -318,7 +318,7 @@ def test_extend_rejects_negative_family_in_positive_mode():
     sub = Subdiagram(d, frozenset({ZERO, E1_RAY}))
     chi = {ZERO: (0, 0), E1_RAY: (-1, 0)}
     with pytest.raises(NegativeOnSub):
-        extend_diagram_functional(d, sub, chi, "nonneg_positive_away")
+        extend_diagram_functional(sub, chi, "nonneg_positive_away")
 
 
 @pytest.mark.parametrize("bad", [(0.2, 1.7), (True, 0), (0, 1.0)])
@@ -327,14 +327,14 @@ def test_extend_refuses_non_int_coefficients(bad):
     d = face_diagram(QUADRANT)
     sub = Subdiagram(d, frozenset({ZERO, E2_RAY}))
     with pytest.raises(TypeError):
-        extend_diagram_functional(d, sub, {ZERO: (0, 0), E2_RAY: bad})
+        extend_diagram_functional(sub, {ZERO: (0, 0), E2_RAY: bad})
 
 
 def test_extend_rejects_unknown_mode():
     d = face_diagram(QUADRANT)
     sub = Subdiagram(d, frozenset({ZERO}))
     with pytest.raises(ValueError):
-        extend_diagram_functional(d, sub, {ZERO: (0, 0)}, "positively")
+        extend_diagram_functional(sub, {ZERO: (0, 0)}, "positively")
 
 
 def test_colimit_is_deterministic():
@@ -568,7 +568,7 @@ def test_paraboloid_rung_6_14_is_tight_and_extends_from_the_zero_face():
     assert validate_tight(d) == ()
     result = colimit(d)
     assert (result.colimit_rank, result.cone) == (6, c)
-    phi = extend_diagram_functional(d, Subdiagram(d, frozenset({ZERO})), {ZERO: (0,) * 6})
+    phi = extend_diagram_functional(Subdiagram(d, frozenset({ZERO})), {ZERO: (0,) * 6})
     assert all(phi(r) >= 1 for r in result.cone.rays)
 
 

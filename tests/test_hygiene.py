@@ -1,6 +1,6 @@
 """Tooling guards on the package source: no assert statements, no private
-names imported across modules, no unbounded caches, and no jsonschema
-import, even when a schema rejects a document."""
+names imported across modules, no unbounded caches, no jsonschema import,
+even when a schema rejects a document, and no unused imports."""
 
 import ast
 import os
@@ -97,3 +97,22 @@ def test_schema_rejection_leaves_jsonschema_unloaded():
     )
     assert result.stdout.split() == ["2", "False"]
     assert result.stderr == "error: schema violation for kind 'monoid' at (root): 'cone' is a required property\n"
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads: the project runs no linter,
+    and a deletion tends to leave its imports behind."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    assert _unused_imports(ast.parse("import os.path\nfrom typing import Sequence\nx: Sequence = os")) == []
+    assert _unused_imports(ast.parse("from a import b, c as d\nb()")) == [(1, "d")]
+    found = [f"{path.name}:{line} {name}" for path, tree in _modules() for line, name in _unused_imports(tree)]
+    assert found == []

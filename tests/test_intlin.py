@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
@@ -16,12 +16,20 @@ from toricfans.intlin import (
     lattice_coordinates,
     primitivize,
     rank,
+    reduce_basis,
     saturate,
     smith_normal_form,
     _find_pivot,
     _row_echelon_transform,
 )
-from oracles import bareiss_det, fraction_free_rank, matrix_product, maximal_minor_gcd, smallest_pivot
+from oracles import (
+    bareiss_det,
+    fraction_free_rank,
+    lift_by_complement,
+    matrix_product,
+    maximal_minor_gcd,
+    smallest_pivot,
+)
 
 
 def M(rows, cols=None):
@@ -215,6 +223,35 @@ def _shaped(m, n, entries):
     return st.lists(
         st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m
     ).map(lambda rows: IntMatrix.from_rows(rows, cols=n))
+
+
+def test_lift_rejects_unsaturated():
+    with pytest.raises(NotSaturated):
+        reduce_basis(IntMatrix.from_cols([(2, 0)], rows=2)).lift((1,))
+
+
+@st.composite
+def independent_columns(draw):
+    """An n x k matrix with independent columns, 0 <= k <= n <= 5, so no
+    column, a full basis of Q^n and everything between."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=n))
+    b = draw(_shaped(n, k, st.integers(min_value=-6, max_value=6)))
+    assume(rank(b) == k)
+    return b
+
+
+@settings(max_examples=200, deadline=None)
+@given(independent_columns(), st.data())
+def test_lift_matches_a_complement_solve(b, data):
+    values = data.draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=b.cols, max_size=b.cols))
+    basis = saturate(b)
+    assert reduce_basis(basis).lift(values) == lift_by_complement(basis, values)
+    if maximal_minor_gcd(b.columns()) == 1:
+        assert reduce_basis(b).lift(values) == lift_by_complement(b, values)
+    else:
+        with pytest.raises(NotSaturated):
+            reduce_basis(b).lift(values)
 
 
 @st.composite

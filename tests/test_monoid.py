@@ -1,13 +1,14 @@
 """Toric monoids, face morphism validation, functional extension."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, assume, strategies as st
 
-from toricfans.cone import Cone, Functional, cone_from_rays, faces, span_sublattice
+from toricfans.cone import Cone, Functional, NotPointed, cone_from_rays, faces, span_sublattice
 from toricfans.intlin import IntMatrix, NotSaturated, lattice_coordinates
 from toricfans.monoid import (
     FaceMorphism,
-    MonoidFunctional,
     NegativeOnFace,
     ToricMonoid,
     extend_functional,
@@ -15,6 +16,8 @@ from toricfans.monoid import (
     image_cone,
     verify_face_morphism,
 )
+from oracles import face_morphism_violations
+from randomgen import random_pointed_cone, random_unimodular
 
 
 NAT = ToricMonoid(1, cone_from_rays(1, [(1,)]))
@@ -74,53 +77,43 @@ def test_image_cone():
 
 
 def test_extend_positive_mode_pinned():
-    psi = MonoidFunctional(NAT, Functional((2,)))
-    out = extend_functional(QUAD, E1, psi, "nonneg_positive_away")
-    assert out.coefficients.coefficients == (2, 1)
+    psi = Functional((2,))
+    out = extend_functional(E1, psi, "nonneg_positive_away")
+    assert out.coefficients == (2, 1)
 
 
 def test_extend_arbitrary_mode_pinned():
-    psi = MonoidFunctional(NAT, Functional((-1,)))
-    out = extend_functional(QUAD, E1, psi, "arbitrary")
-    assert out.coefficients.coefficients == (-1, 0)
+    psi = Functional((-1,))
+    out = extend_functional(E1, psi, "arbitrary")
+    assert out.coefficients == (-1, 0)
 
 
 def test_extend_from_zero_face():
     origin = ToricMonoid(0, cone_from_rays(0, []))
     into = FaceMorphism(origin, QUAD, IntMatrix(2, 0, ((), ())))
-    psi = MonoidFunctional(origin, Functional(()))
-    out = extend_functional(QUAD, into, psi, "nonneg_positive_away")
-    assert out.coefficients.coefficients == (1, 1)
+    psi = Functional(())
+    out = extend_functional(into, psi, "nonneg_positive_away")
+    assert out.coefficients == (1, 1)
 
 
 def test_extend_along_improper_face_returns_psi():
     ident = FaceMorphism(QUAD, QUAD, IntMatrix.identity(2))
-    psi = MonoidFunctional(QUAD, Functional((3, 5)))
-    out = extend_functional(QUAD, ident, psi, "nonneg_positive_away")
+    psi = Functional((3, 5))
+    out = extend_functional(ident, psi, "nonneg_positive_away")
     assert out == psi
 
 
 def test_extend_negative_on_face_raises():
-    psi = MonoidFunctional(NAT, Functional((-2,)))
+    psi = Functional((-2,))
     with pytest.raises(NegativeOnFace):
-        extend_functional(QUAD, E1, psi, "nonneg_positive_away")
+        extend_functional(E1, psi, "nonneg_positive_away")
 
 
 def test_extend_rejects_mismatched_inputs():
-    psi = MonoidFunctional(NAT, Functional((1,)))
     with pytest.raises(ValueError):
-        extend_functional(NAT, E1, psi)
+        extend_functional(E1, Functional((1, 0)))  # psi lives on the source lattice, of rank 1
     with pytest.raises(ValueError):
-        extend_functional(QUAD, E1, psi, "positively")
-
-
-def test_functional_equality_is_on_gp():
-    ray = ToricMonoid(2, cone_from_rays(2, [(1, 0)]))
-    a = MonoidFunctional(ray, Functional((3, 0)))
-    b = MonoidFunctional(ray, Functional((3, 7)))  # differs off the span only
-    assert a == b and hash(a) == hash(b)
-    c = MonoidFunctional(ray, Functional((4, 0)))
-    assert a != c
+        extend_functional(E1, Functional((1,)), "positively")
 
 
 def _face_inclusion(c: Cone, f: Cone) -> FaceMorphism:
@@ -146,8 +139,6 @@ vectors = st.lists(
 @settings(max_examples=80, deadline=None)
 @given(vectors, st.data())
 def test_face_inclusions_verify_and_extend(vecs, data):
-    from toricfans.cone import NotPointed
-
     try:
         c = cone_from_rays(3, vecs)
     except NotPointed:
@@ -164,16 +155,43 @@ def test_face_inclusions_verify_and_extend(vecs, data):
         data.draw(st.integers(min_value=0, max_value=4), label="psi")
         for _ in range(inc.source.lattice_rank)
     )
-    psi = MonoidFunctional(inc.source, Functional(coeffs))
-    assume(all(psi.coefficients(r) >= 0 for r in src_rays))
-    out = extend_functional(inc.target, inc, psi, "nonneg_positive_away")
+    psi = Functional(coeffs)
+    assume(all(psi(r) >= 0 for r in src_rays))
+    out = extend_functional(inc, psi, "nonneg_positive_away")
     s = inc.map @ gp(inc.source)
     for j in range(s.cols):
-        assert out.coefficients(s.col(j)) == psi.coefficients(gp(inc.source).col(j))
+        assert out(s.col(j)) == psi(gp(inc.source).col(j))
     face_rays = set(f.rays)
     for r in c.rays:
-        v = out.coefficients(r)
+        v = out(r)
         if r in face_rays:
             assert v >= 0
         else:
             assert v >= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(["split", "unsaturated", "any"]))
+def test_face_morphism_check_matches_the_two_step_check(seed, kind):
+    # one Smith reduction of the map stands in for rank and, when the map
+    # splits, for the saturation of the image of gp
+    rng = random.Random(seed)
+    src = random_pointed_cone(rng, max_rank=3, max_rays=4)
+    a, b = src.ambient_rank, rng.randint(src.ambient_rank, 4)
+    if kind == "any":
+        m = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(a)] for _ in range(b)], cols=a)
+    else:
+        cols = random_unimodular(rng, b).columns()[:a]
+        if kind == "unsaturated":
+            j = rng.randrange(a)
+            cols[j] = tuple(rng.choice((2, 3)) * x for x in cols[j])
+        m = IntMatrix.from_cols(cols, rows=b)
+    # the images of the source rays, some other vectors, or both
+    gens = [m.apply(r) for r in src.rays] if rng.random() < 0.7 else []
+    gens += [tuple(rng.randint(-2, 2) for _ in range(b)) for _ in range(rng.randint(0, 3))]
+    try:
+        tgt = cone_from_rays(b, gens)
+    except NotPointed:
+        tgt = cone_from_rays(b, [])
+    f = FaceMorphism(ToricMonoid(a, src), ToricMonoid(b, tgt), m)
+    assert verify_face_morphism(f) == face_morphism_violations(f)
