@@ -3,8 +3,9 @@
 Five subcommands — validate, colimit, extend, glue, check — each reading
 one JSON document (``--input`` or stdin) and writing one (``--output`` or
 stdout).  Exit codes: 0 on success, 1 when the input is well-formed but
-violates a structural axiom (a report document is still written), 2 when
-the input itself is malformed or the program breaks one of its own
+violates a structural axiom: a failed verdict, or an errors.DomainError
+named in the report by its class (a report document is still written),
+2 when the input itself is malformed or the program breaks one of its own
 invariants (diagnostic on stderr, nothing written).
 """
 
@@ -16,26 +17,19 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import documents
-from .cone import NotAFace, NotPointed
+from .cone import NotPointed
 from .diagram import (
-    IncompatibleFamily,
-    NegativeOnSub,
     NotJoinClosed,
     NotTight,
-    NotTightSubdiagram,
     Subdiagram,
     colimit,
     extend_diagram_functional,
     validate_tight,
 )
 from .documents import Document, DocumentError
-from .errors import InternalError
+from .errors import DomainError, InternalError
 from .intlin import IntMatrix
-from .monoid import NegativeOnFace
 from .stackyfan import (
-    IncompatibleBetas,
-    InfiniteCokernel,
-    RaysDoNotSpan,
     StackyFan,
     canonical_cover,
     glue,
@@ -43,20 +37,6 @@ from .stackyfan import (
     is_cohomologically_affine,
     is_smooth,
     validate_fan,
-)
-
-_DOMAIN_ERRORS = (
-    NotPointed,
-    NotAFace,
-    NotTight,
-    NotTightSubdiagram,
-    NotJoinClosed,
-    IncompatibleFamily,
-    NegativeOnSub,
-    NegativeOnFace,
-    IncompatibleBetas,
-    InfiniteCokernel,
-    RaysDoNotSpan,
 )
 
 _TIGHTNESS_CODES = ("T1", "T2", "T3", "T4")
@@ -259,7 +239,7 @@ def main(argv=None) -> int:
                 out, code = cmd_glue(doc)
             else:
                 out, code = cmd_check(doc, args.which)
-        except _DOMAIN_ERRORS as exc:
+        except DomainError as exc:
             out, code = _error_report(exc), 1
         text = documents.dumps(out)
         if args.output:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .errors import InternalError
+from .errors import DomainError, InternalError
 from .intlin import (
     IntMatrix,
     ReducedBasis,
@@ -36,11 +36,11 @@ from .intlin import (
 )
 
 
-class NotPointed(ValueError):
+class NotPointed(DomainError):
     """Raised when generators span a cone containing a line."""
 
 
-class NotAFace(ValueError):
+class NotAFace(DomainError):
     """Raised when a claimed face is not a face of the given cone."""
 
 

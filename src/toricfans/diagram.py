@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -49,7 +50,7 @@ from .cone import (
     subcone,
     supporting_functional,
 )
-from .errors import InternalError
+from .errors import DomainError, InternalError
 from .intlin import (
     IntMatrix,
     NotInLattice,
@@ -68,7 +69,7 @@ from .monoid import (
 )
 
 
-class NotTight(ValueError):
+class NotTight(DomainError):
     """Raised when an operation requires a tight diagram and validation fails."""
 
     def __init__(self, violations):
@@ -76,11 +77,11 @@ class NotTight(ValueError):
         self.violations = tuple(violations)
 
 
-class NotTightSubdiagram(ValueError):
+class NotTightSubdiagram(DomainError):
     """Raised when subdiagram members do not themselves form a tight diagram."""
 
 
-class NotJoinClosed(ValueError):
+class NotJoinClosed(DomainError):
     """Raised when a subdiagram misses the join of two of its members."""
 
     def __init__(self, witness):
@@ -89,11 +90,11 @@ class NotJoinClosed(ValueError):
         self.witness = witness
 
 
-class IncompatibleFamily(ValueError):
+class IncompatibleFamily(DomainError):
     """Raised when given functionals cannot come from one functional on the colimit."""
 
 
-class NegativeOnSub(ValueError):
+class NegativeOnSub(DomainError):
     """Raised in positive mode when a given functional is negative on a member ray."""
 
 
@@ -271,19 +272,13 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
             violations.append(f"T1: morphism {e.source_id!r}->{e.target_id!r}: {problem}")
 
     succ = {i: [] for i in objects}
-    pending = {i: 0 for i in objects}
+    preds = {i: [] for i in sorted(objects)}  # lists, not sets: the order ignores hash seeds
     for e in edges:
         succ[e.source_id].append(e)
-        pending[e.target_id] += 1
-    order = [i for i in sorted(objects) if pending[i] == 0]
-    k = 0
-    while k < len(order):
-        for e in succ[order[k]]:
-            pending[e.target_id] -= 1
-            if pending[e.target_id] == 0:
-                order.append(e.target_id)
-        k += 1
-    if len(order) < len(objects):
+        preds[e.target_id].append(e.source_id)
+    try:
+        order = list(TopologicalSorter(preds).static_order())
+    except CycleError:
         violations.append("T3: the diagram contains a directed morphism cycle")
         return DiagramAnalysis(objects, (), {}, {}, (), {}, {}, tuple(violations))
 

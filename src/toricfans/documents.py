@@ -34,10 +34,10 @@ from typing import Callable
 
 from .cone import Cone, cone_from_rays
 from .diagram import ColimitResult, DiagramMorphism, TightDiagram, verify_face_embeddings
-from .errors import InternalError
+from .errors import DomainError, InternalError
 from .intlin import IntMatrix
 from .monoid import ToricMonoid, gp
-from .stackyfan import ChartData, Fan, InfiniteCokernel, StackyFan
+from .stackyfan import ChartData, Fan, StackyFan
 
 FORMAT_VERSION = "1"
 _SAFE_BOUND = 2**53 - 1
@@ -424,7 +424,7 @@ def decode_stackyfan(payload) -> StackyFan:
     target_rank = _within_limit(decode_int(payload["target_rank"]))
     try:
         return StackyFan(fan, beta, target_rank)
-    except InfiniteCokernel:
+    except DomainError:
         raise
     except ValueError as exc:
         raise DocumentError(str(exc)) from None

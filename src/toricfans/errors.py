@@ -1,4 +1,10 @@
-"""The exception for a broken invariant of the program itself."""
+"""The exception roots the command line sorts failures by: exit 1 or 2."""
+
+
+class DomainError(ValueError):
+    """Well-formed input that violates a structural axiom: the command line
+    answers exit 1 with a report naming the class.  Every structural failure
+    of cone, monoid, diagram and stackyfan derives from it."""
 
 
 class InternalError(RuntimeError):

@@ -12,10 +12,11 @@ pivot rule, and the transforms ride along on request:
 - smith_normal_form builds U and V;
 - kernel_basis builds V only;
 - invariant_factors, rank and cokernel_invariants build neither;
-- reduce_basis builds the echelon transform u, once per basis;
-  ReducedBasis.coordinates solves against it as often as asked, and
-  ReducedBasis.lift lifts functionals off a saturated basis through it;
-  lattice_coordinates is reduce_basis and coordinates in one call;
+- reduce_basis builds the echelon transform u, u @ basis == [T; 0], once
+  per basis of independent columns; ReducedBasis.coordinates solves through
+  T as often as asked, and ReducedBasis.lift lifts functionals off a
+  saturated basis; lattice_coordinates is reduce_basis and coordinates in
+  one call;
 - complement_summand and saturate build its inverse only.
 
 from_rows and from_cols check every entry of what callers hand in; the
@@ -352,8 +353,8 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 def _row_echelon_transform(a: IntMatrix, inverse: bool):
     """Row reduce a to echelon form by unimodular row operations.
 
-    Returns (t, echelon, pivots) with pivots the list of (row, col) pivot
-    positions, pivot values positive.  t is the transform u with
+    Returns (t, echelon, k) with k the rank, the number of pivots; pivot
+    values are positive.  t is the transform u with
     u @ a == echelon, or, when inverse is asked for, the transpose of u^-1
     (its rows are the columns of u^-1); only that one is built.
     Deterministic: within each column the row with the smallest nonzero
@@ -363,7 +364,6 @@ def _row_echelon_transform(a: IntMatrix, inverse: bool):
     m, n = a.rows, a.cols
     w = [list(row) for row in a.entries]
     t = _eye(m)
-    pivots = []
     top = 0
     for j in range(n):
         while True:
@@ -391,10 +391,9 @@ def _row_echelon_transform(a: IntMatrix, inverse: bool):
                 if w[top][j] < 0:
                     _negate_row(w, top)
                     _negate_row(t, top)
-                pivots.append((top, j))
                 top += 1
                 break
-    return _freeze(t, m), _freeze(w, n), pivots
+    return _freeze(t, m), _freeze(w, n), top
 
 
 def saturate(b: IntMatrix) -> IntMatrix:
@@ -402,10 +401,10 @@ def saturate(b: IntMatrix) -> IntMatrix:
 
     The columns of b must be linearly independent.
     """
-    uinv_t, _, pivots = _row_echelon_transform(b, True)
-    if len(pivots) != b.cols:
+    uinv_t, _, r = _row_echelon_transform(b, True)
+    if r != b.cols:
         raise DependentColumns("columns are linearly dependent")
-    return IntMatrix(b.cols, b.rows, uinv_t.entries[: len(pivots)]).transpose()
+    return IntMatrix(b.cols, b.rows, uinv_t.entries[:r]).transpose()
 
 
 def complement_summand(b: IntMatrix) -> IntMatrix:
@@ -416,8 +415,7 @@ def complement_summand(b: IntMatrix) -> IntMatrix:
     u @ b = [T; 0]: the complement is the trailing columns of u^-1, which
     together with a basis of S form a unimodular matrix.
     """
-    uinv_t, ech, pivots = _row_echelon_transform(b, True)
-    r = len(pivots)
+    uinv_t, ech, r = _row_echelon_transform(b, True)
     t = IntMatrix(r, b.cols, ech.entries[:r])
     if invariant_factors(t) != tuple([1] * r):
         raise NotSaturated("column lattice is not saturated")
@@ -426,14 +424,14 @@ def complement_summand(b: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    """A basis with independent columns, row reduced once: u @ basis ==
-    echelon == [T; 0], with T upper triangular and its pivots (i, i) on the
-    diagonal.  coordinates solves against it as often as asked; lift
-    extends functionals off it when it is saturated."""
+    """A basis of k independent columns, row reduced once: u @ basis ==
+    echelon == [T; 0], with T k x k upper triangular, its pivots on the
+    diagonal and positive, and k == echelon.cols.  coordinates solves
+    against it as often as asked; lift extends functionals off it when it
+    is saturated."""
 
     u: IntMatrix
     echelon: IntMatrix
-    pivots: tuple[tuple[int, int], ...]
 
     def lift(self, values: Sequence[int]) -> tuple[int, ...]:
         """The functional on the ambient lattice that takes values on the
@@ -441,10 +439,10 @@ class ReducedBasis:
         picks, the trailing columns of u^-1: y @ u[:k] with y @ T == values.
         Raises NotSaturated unless every pivot is 1, which for independent
         columns is when the basis is saturated (T is unimodular)."""
-        ech, k = self.echelon.entries, len(self.pivots)
+        ech, k = self.echelon.entries, self.echelon.cols
         if len(values) != k:
             raise ValueError("value count does not match the basis")
-        if any(ech[i][i] != 1 for i, _ in self.pivots):
+        if any(ech[i][i] != 1 for i in range(k)):
             raise NotSaturated("column lattice is not saturated")
         y = []
         for j in range(k):
@@ -454,32 +452,26 @@ class ReducedBasis:
         return tuple(sum(map(mul, y, col)) for col in zip(*self.u.entries[:k]))
 
     def coordinates(self, target: IntMatrix) -> IntMatrix:
-        """Solve basis @ X == target exactly over Z; raises NotInLattice
-        when some target column is not an integer combination of the basis
-        columns."""
+        """Solve basis @ X == target exactly over Z by back-substitution
+        through T; raises NotInLattice when some target column is not an
+        integer combination of the basis columns.  The rows below T are
+        zero, so a column of u @ target is in the span when it is zero there."""
         if self.u.cols != target.rows:
             raise ValueError("row count mismatch")
-        ech, pivots = self.echelon.entries, self.pivots
+        ech, k = self.echelon.entries, self.echelon.cols
         rhs = self.u @ target
-        k = len(pivots)
         out_cols = []
         for c in range(target.cols):
             col = [row[c] for row in rhs.entries]
             x = [0] * k
-            for idx in range(k - 1, -1, -1):
-                i, j = pivots[idx]
-                acc = col[i]
-                for idx2 in range(idx + 1, k):
-                    acc -= ech[i][pivots[idx2][1]] * x[idx2]
-                p = ech[i][j]
-                if acc % p:
+            for i in range(k - 1, -1, -1):
+                row = ech[i]
+                acc = col[i] - sum(map(mul, row[i + 1 : k], x[i + 1 :]))
+                if acc % row[i]:
                     raise NotInLattice("target is not in the column lattice")
-                x[idx] = acc // p
-            # consistency on the non-pivot rows
-            for i in range(self.u.rows):
-                acc = sum(ech[i][pivots[idx][1]] * x[idx] for idx in range(k))
-                if acc != col[i]:
-                    raise NotInLattice("target is not in the column span")
+                x[i] = acc // row[i]
+            if any(col[k:]):
+                raise NotInLattice("target is not in the column span")
             out_cols.append(x)
         return IntMatrix(k, target.cols, tuple(tuple(x[i] for x in out_cols) for i in range(k)))
 
@@ -487,10 +479,10 @@ class ReducedBasis:
 def reduce_basis(basis: IntMatrix) -> ReducedBasis:
     """Row reduce basis once for lattice_coordinates; raises DependentColumns
     unless its columns are independent."""
-    u, ech, pivots = _row_echelon_transform(basis, False)
-    if len(pivots) != basis.cols:
+    u, ech, k = _row_echelon_transform(basis, False)
+    if k != basis.cols:
         raise DependentColumns("columns are linearly dependent")
-    return ReducedBasis(u, ech, tuple(pivots))
+    return ReducedBasis(u, ech)
 
 
 def lattice_coordinates(basis: IntMatrix, target: IntMatrix) -> IntMatrix:

@@ -19,11 +19,11 @@ from .cone import (
     subcone,
     supporting_functional,
 )
-from .errors import InternalError
+from .errors import DomainError, InternalError
 from .intlin import IntMatrix, invariant_factors, reduce_basis
 
 
-class NegativeOnFace(ValueError):
+class NegativeOnFace(DomainError):
     """Raised when a positive-mode extension starts from a functional that is
     already negative somewhere on the face."""
 

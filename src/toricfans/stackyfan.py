@@ -15,6 +15,7 @@ from typing import Mapping
 
 from .cone import NotPointed, cone_from_rays, intersection, is_face
 from .diagram import TightDiagram
+from .errors import DomainError
 from .intlin import (
     IntMatrix,
     cokernel_invariants,
@@ -26,15 +27,15 @@ from .intlin import (
 from .monoid import gp
 
 
-class InfiniteCokernel(ValueError):
+class InfiniteCokernel(DomainError):
     """Raised when a beta map does not have finite cokernel."""
 
 
-class IncompatibleBetas(ValueError):
+class IncompatibleBetas(DomainError):
     """Raised when per-chart beta maps disagree along a diagram morphism."""
 
 
-class RaysDoNotSpan(ValueError):
+class RaysDoNotSpan(DomainError):
     """Raised when a construction needs the fan rays to span the lattice."""
 
 

@@ -6,10 +6,12 @@ elimination for ranks and determinants, minor gcds for saturation, subset search
 supporting functionals, closures of ray subsets for faces, Caratheodory
 search for cone membership, a scan of every entry for the Smith pivot,
 set inclusion with nothing between for face covers, and a subdiagram's
-members built into a diagram of their own and validated in full.  Two
+members built into a diagram of their own and validated in full.  Three
 keep a longer library route as the reference for a shorter one: a lift
-off a saturated basis through an explicit complement summand, and T1's
-saturation test on the image of gp whatever the map's invariant factors.
+off a saturated basis through an explicit complement summand, T1's
+saturation test on the image of gp whatever the map's invariant factors,
+and coordinates in a reduced basis through a pivot list read off its
+echelon form, with every row checked after the back-substitution.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from math import gcd
 
 from toricfans.cone import is_face
 from toricfans.diagram import DiagramMorphism, TightDiagram
-from toricfans.intlin import IntMatrix, complement_summand, invariant_factors, lattice_coordinates, rank
+from toricfans.intlin import (
+    IntMatrix,
+    NotInLattice,
+    complement_summand,
+    invariant_factors,
+    lattice_coordinates,
+    rank,
+)
 from toricfans.monoid import gp, image_cone
 
 
@@ -297,6 +306,33 @@ def lift_by_complement(basis, values):
     square = basis.hstack(complement_summand(basis))
     rhs = IntMatrix.from_cols([tuple(values) + (0,) * (basis.rows - basis.cols)], rows=basis.rows)
     return lattice_coordinates(square.transpose(), rhs).col(0)
+
+
+def coordinates_by_full_check(reduced, target):
+    """X with basis @ X == target from a ReducedBasis the long way: the
+    pivots are read off its echelon form (each nonzero row's first nonzero
+    entry), back-substitution runs through them, and then every row of
+    echelon @ X == u @ target is checked, pivot rows included.  Raises
+    NotInLattice with the library's messages, in the library's order."""
+    ech = reduced.echelon.entries
+    pivots = [(i, next(j for j, v in enumerate(row) if v)) for i, row in enumerate(ech) if any(row)]
+    k = len(pivots)
+    rhs = matrix_product(reduced.u.entries, target.entries, target.cols)
+    cols = []
+    for c in range(target.cols):
+        col = [row[c] for row in rhs]
+        x = [0] * k
+        for idx in range(k - 1, -1, -1):
+            i, j = pivots[idx]
+            acc = col[i] - sum(ech[i][pivots[later][1]] * x[later] for later in range(idx + 1, k))
+            if acc % ech[i][j]:
+                raise NotInLattice("target is not in the column lattice")
+            x[idx] = acc // ech[i][j]
+        for i, row in enumerate(ech):
+            if sum(row[pivots[idx][1]] * x[idx] for idx in range(k)) != col[i]:
+                raise NotInLattice("target is not in the column span")
+        cols.append(x)
+    return IntMatrix.from_cols(cols, rows=k)
 
 
 def face_morphism_violations(f):

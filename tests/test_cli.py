@@ -22,6 +22,7 @@ from toricfans import cli as cli_module
 from toricfans import diagram as diagram_module
 from toricfans import documents
 from toricfans.cli import build_parser, main, run
+from toricfans.errors import DomainError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 QUADRANT_DIAGRAM = str(FIXTURES / "quadrant-face-diagram.json")
@@ -486,6 +487,28 @@ def test_internal_error_is_exit_2_with_a_diagnostic(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: internal error: emitted 'colimit' document fails its schema")
+
+
+def _domain_error(cls):
+    """An instance of one DomainError subclass, built as its raisers build it."""
+    if cls is diagram_module.NotTight:
+        return cls(["T4: objects 'a', 'b' have 2 maximal common faces"])
+    if cls is diagram_module.NotJoinClosed:
+        return cls(("a", "b", "c"))
+    return cls("a structural axiom fails")
+
+
+@pytest.mark.parametrize("cls", sorted(DomainError.__subclasses__(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_domain_error_is_exit_1_with_a_report(cls, monkeypatch, capsys):
+    def failing(d):
+        raise _domain_error(cls)
+
+    monkeypatch.setattr(cli_module, "colimit", failing)
+    code, out, err = invoke(["colimit", "--input", QUADRANT_DIAGRAM], capsys)
+    assert (code, err) == (1, "")
+    report = payload(out)
+    assert report["ok"] is False and report["error"] == cls.__name__
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,16 @@ def test_morphism_cycle_is_reported():
     assert "T3: the diagram contains a directed morphism cycle" in validate_tight(d)
 
 
+def test_two_object_cycle_ends_the_analysis_after_t1():
+    ray = ToricMonoid(1, cone_from_rays(1, [(1,)]))
+    identity = IntMatrix.identity(1)
+    d = TightDiagram({"r": ray, "s": ray}, [DiagramMorphism("r", "s", identity), DiagramMorphism("s", "r", identity)])
+    *t1, last = validate_tight(d)
+    assert last == "T3: the diagram contains a directed morphism cycle"
+    assert t1 and all(v.startswith("T1: ") for v in t1)
+    assert d.analysis.order == ()
+
+
 def test_construction_rejects_bad_shapes_and_ids():
     ray = ToricMonoid(1, cone_from_rays(1, [(1,)]))
     with pytest.raises(ValueError):

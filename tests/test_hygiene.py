@@ -1,12 +1,17 @@
 """Tooling guards on the package source: no assert statements, no private
 names imported across modules, no unbounded caches, no jsonschema import,
-even when a schema rejects a document, and no unused imports."""
+even when a schema rejects a document, no unused imports, and one root
+class for structural failures."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from toricfans.errors import DomainError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "toricfans"
 
@@ -116,3 +121,31 @@ def test_no_unused_imports():
     assert _unused_imports(ast.parse("from a import b, c as d\nb()")) == [(1, "d")]
     found = [f"{path.name}:{line} {name}" for path, tree in _modules() for line, name in _unused_imports(tree)]
     assert found == []
+
+
+DOMAIN_ERRORS = {
+    "cone": {"NotPointed", "NotAFace"},
+    "monoid": {"NegativeOnFace"},
+    "diagram": {"NotTight", "NotTightSubdiagram", "NotJoinClosed", "IncompatibleFamily", "NegativeOnSub"},
+    "stackyfan": {"InfiniteCokernel", "IncompatibleBetas", "RaysDoNotSpan"},
+}
+
+
+def _value_errors(name):
+    """The ValueError subclasses that module toricfans.<name> defines."""
+    module = importlib.import_module(f"toricfans.{name}")
+    return [
+        cls for cls in vars(module).values()
+        if inspect.isclass(cls) and cls.__module__ == module.__name__ and issubclass(cls, ValueError)
+    ]
+
+
+def test_structural_failures_are_domain_errors():
+    # the command line answers exit 1 for exactly these, and docs/formats.md lists them;
+    # the solver's and the decoder's errors stay plain ValueErrors
+    for name, expected in DOMAIN_ERRORS.items():
+        found = {cls.__name__: issubclass(cls, DomainError) for cls in _value_errors(name)}
+        assert found == dict.fromkeys(expected, True)
+    for name in ("intlin", "documents"):
+        errors = _value_errors(name)
+        assert errors and not any(issubclass(cls, DomainError) for cls in errors)

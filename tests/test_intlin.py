@@ -24,6 +24,7 @@ from toricfans.intlin import (
 )
 from oracles import (
     bareiss_det,
+    coordinates_by_full_check,
     fraction_free_rank,
     lift_by_complement,
     matrix_product,
@@ -255,6 +256,84 @@ def test_lift_matches_a_complement_solve(b, data):
 
 
 @st.composite
+def coordinate_problems(draw):
+    """(basis, target, kind): a basis of independent columns drawn from
+    random integer matrices, and a target of up to three columns basis @ X.
+    In kind "span" one column is replaced by a vector of the rational span
+    off the column lattice (the drawn first column is scaled by d, and the
+    vector's first coordinate z[0] / d is not an integer), in kind
+    "outside" by a vector off the span."""
+    kind = draw(st.sampled_from(("lattice", "span", "outside")))
+    b = draw(independent_columns())
+    basis, bad = b, None
+    if kind == "span":
+        assume(b.cols >= 1)
+        d = draw(st.integers(2, 4))
+        z = draw(st.lists(st.integers(-9, 9), min_size=b.cols, max_size=b.cols).filter(lambda z: z[0] % d))
+        cols = b.columns()
+        basis = IntMatrix.from_cols([tuple(d * x for x in cols[0]), *cols[1:]], rows=b.rows)
+        bad = b.apply(z)
+    elif kind == "outside":
+        bad = tuple(draw(st.lists(st.integers(-9, 9), min_size=b.rows, max_size=b.rows)))
+        assume(rank(b.hstack(IntMatrix.from_cols([bad], rows=b.rows))) > b.cols)
+    t = draw(st.integers(0 if bad is None else 1, 3))
+    cols = (basis @ draw(_shaped(b.cols, t, st.integers(-9, 9)))).columns()
+    if bad is not None:
+        cols[draw(st.integers(0, t - 1))] = bad
+    return basis, IntMatrix.from_cols(cols, rows=b.rows), kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate_problems())
+def test_coordinates_match_a_full_recheck(problem):
+    # only the rows below T are checked after back-substitution; checking
+    # every row through a pivot list gives the same answer and message
+    basis, target, kind = problem
+    reduced = reduce_basis(basis)
+    try:
+        expected = coordinates_by_full_check(reduced, target)
+    except NotInLattice as exc:
+        assert kind != "lattice"
+        with pytest.raises(NotInLattice) as caught:
+            reduced.coordinates(target)
+        assert str(caught.value) == str(exc)
+    else:
+        assert kind == "lattice"
+        assert reduced.coordinates(target) == expected
+
+
+def _sympy_coordinates(basis, target):
+    """X with basis @ X == target from sympy's gauss_jordan_solve, column by
+    column; None when some column has no solution or no integral one."""
+    a = Matrix(basis.rows, basis.cols, [x for r in basis.entries for x in r])
+    cols = []
+    for col in target.columns():
+        try:
+            x, params = a.gauss_jordan_solve(Matrix(basis.rows, 1, list(col)))
+        except ValueError:  # "Linear system has no solution"
+            return None
+        assert params.rows == 0  # independent columns: the solution is unique
+        if not all(v.is_integer for v in x):
+            return None
+        cols.append([int(v) for v in x])
+    return IntMatrix.from_cols(cols, rows=basis.cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate_problems())
+def test_coordinates_against_sympy(problem):
+    basis, target, kind = problem
+    expected = _sympy_coordinates(basis, target)
+    if expected is None:
+        assert kind != "lattice"
+        with pytest.raises(NotInLattice):
+            reduce_basis(basis).coordinates(target)
+    else:
+        assert kind == "lattice"
+        assert reduce_basis(basis).coordinates(target) == expected
+
+
+@st.composite
 def factor_pairs(draw):
     """Two composable matrices, 0-row and 0-column shapes included, with an
     identity on the left, on the right, on both sides or on neither."""
@@ -337,9 +416,9 @@ def test_pivot_search_matches_a_full_scan(drawn):
 @settings(max_examples=150, deadline=None)
 @given(matrices)
 def test_echelon_transform_and_its_inverse_share_one_reduction(a):
-    u, ech, pivots = _row_echelon_transform(a, False)
-    uinv_t, ech2, pivots2 = _row_echelon_transform(a, True)
-    assert (ech2, pivots2) == (ech, pivots)
+    u, ech, k = _row_echelon_transform(a, False)
+    uinv_t, ech2, k2 = _row_echelon_transform(a, True)
+    assert (ech2, k2) == (ech, k)
     assert u @ a == ech
     assert u @ uinv_t.transpose() == IntMatrix.identity(a.rows)
 
