@@ -63,7 +63,7 @@ def _reports_block(sf: StackyFan) -> dict:
     return {
         "is_smooth": is_smooth(sf),
         "is_cohomologically_affine": is_cohomologically_affine(sf),
-        "group_description": {"torus_rank": g.torus_rank, "torsion": list(g.torsion)},
+        "group_description": {"torus_rank": g.free_rank, "torsion": list(g.torsion)},
     }
 
 
@@ -169,7 +169,7 @@ def cmd_check(doc: Document, which: str) -> tuple[Document, int]:
         result = is_cohomologically_affine(sf)
     else:
         g = group_description(sf)
-        result = {"torus_rank": g.torus_rank, "torsion": list(g.torsion)}
+        result = {"torus_rank": g.free_rank, "torsion": list(g.torsion)}
     return _report({"ok": True, "which": which, "result": result}), 0
 
 

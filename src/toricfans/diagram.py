@@ -1,11 +1,12 @@
 """Tight diagrams of toric monoids: validation, colimits, functional extension.
 
-A diagram is a finite id-indexed collection of toric monoids plus face
-morphisms between them (identities implicit).  Tightness is the conjunction
-of four conditions: every listed morphism is a proper face inclusion (T1),
-every face of every object is realized inside the diagram (T2), parallel
-composites agree (T3), and every pair of objects has a unique maximal common
-face (T4).  Ids are strings so reports and tie-breaking stay deterministic.
+A diagram is a finite id-indexed collection of cones, each standing for its
+monoid of lattice points, plus face morphisms between them (identities
+implicit).  Tightness is the conjunction of four conditions: every listed
+morphism is a proper face inclusion (T1), every face of every object is
+realized inside the diagram (T2), parallel composites agree (T3), and every
+pair of objects has a unique maximal common face (T4).  Ids are strings so
+reports and tie-breaking stay deterministic.
 
 The colimit is presented on the poset-maximal objects only: their group
 completions generate, and one relation block per maximal pair glues along
@@ -62,7 +63,6 @@ from .intlin import (
 from .monoid import (
     FaceMorphism,
     NegativeOnFace,
-    ToricMonoid,
     extend_functional,
     gp,
     verify_face_morphism,
@@ -110,7 +110,7 @@ class DiagramMorphism:
 class TightDiagram:
     """Candidate diagram; construction checks shapes only, not tightness."""
 
-    def __init__(self, objects: Mapping[str, ToricMonoid], morphisms: Sequence[DiagramMorphism]):
+    def __init__(self, objects: Mapping[str, Cone], morphisms: Sequence[DiagramMorphism]):
         self.objects = dict(objects)
         for key in self.objects:
             if not isinstance(key, str):
@@ -120,7 +120,7 @@ class TightDiagram:
             if e.source_id not in self.objects or e.target_id not in self.objects:
                 raise ValueError(f"morphism {e.source_id!r}->{e.target_id!r} references unknown object")
             src, tgt = self.objects[e.source_id], self.objects[e.target_id]
-            if e.matrix.rows != tgt.lattice_rank or e.matrix.cols != src.lattice_rank:
+            if e.matrix.rows != tgt.ambient_rank or e.matrix.cols != src.ambient_rank:
                 raise ValueError(f"morphism {e.source_id!r}->{e.target_id!r} has wrong matrix shape")
 
     def __eq__(self, other):
@@ -170,7 +170,7 @@ class DiagramAnalysis:
     tight; so does ``descend``, the one way down to the colimit lattice.
     """
 
-    objects: Mapping[str, ToricMonoid]
+    objects: Mapping[str, Cone]
     order: tuple[str, ...]  # topological, sources first; bit k of a mask is order[k]
     below: Mapping[str, int]  # y -> mask of every x with a path x -> y, y included
     composites: Mapping[str, Mapping[str, IntMatrix]]  # x -> y -> matrix of the path x -> y
@@ -190,7 +190,7 @@ class DiagramAnalysis:
     def gp_matrix(self, src: str, tgt: str) -> IntMatrix:
         """The composite src -> tgt on gp bases: gp(src) columns expressed in
         gp(tgt) coordinates."""
-        return span_coordinates(self.objects[tgt].cone, self.composites[src][tgt] @ gp(self.objects[src]))
+        return span_coordinates(self.objects[tgt], self.composites[src][tgt] @ gp(self.objects[src]))
 
     @cached_property
     def colimit(self) -> ColimitResult:
@@ -282,15 +282,15 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
         violations.append("T3: the diagram contains a directed morphism cycle")
         return DiagramAnalysis(objects, (), {}, {}, (), {}, {}, tuple(violations))
 
-    ray_index = {i: {r: k for k, r in enumerate(obj.cone.rays)} for i, obj in objects.items()}
+    ray_index = {i: {r: k for k, r in enumerate(obj.rays)} for i, obj in objects.items()}
     comp = {i: {} for i in objects}
     maps = {i: {} for i in objects}  # x -> y -> ray map of comp[x][y], or None
     conflicts = set()
     for x in reversed(order):
-        comp[x][x] = IntMatrix.identity(objects[x].lattice_rank)
-        maps[x][x] = tuple(range(len(objects[x].cone.rays)))
+        comp[x][x] = IntMatrix.identity(objects[x].ambient_rank)
+        maps[x][x] = tuple(range(len(objects[x].rays)))
         for e in succ[x]:
-            step = tuple(ray_index[e.target_id].get(e.matrix.apply(r)) for r in objects[x].cone.rays)
+            step = tuple(ray_index[e.target_id].get(e.matrix.apply(r)) for r in objects[x].rays)
             step = None if None in step else step
             for tgt, tail in sorted(comp[e.target_id].items()):
                 candidate = tail @ e.matrix
@@ -310,13 +310,13 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
     for x in sorted(objects):
         for p, matrix in comp[x].items():
             below[p] |= 1 << position[x]
-            target = objects[p].cone
+            target = objects[p]
             ray_map = maps[x][p]
             if ray_map is not None:
                 image = Cone(target.ambient_rank, tuple(target.rays[k] for k in sorted(set(ray_map))))
             else:
                 try:
-                    image = subcone(target, [matrix.apply(r) for r in objects[x].cone.rays])
+                    image = subcone(target, [matrix.apply(r) for r in objects[x].rays])
                 except NotPointed:
                     image = None
             images[x, p] = image
@@ -324,7 +324,7 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
 
     ids = sorted(objects)
     for i in ids:
-        for f in faces(objects[i].cone):
+        for f in faces(objects[i]):
             if f not in realizers[i]:
                 violations.append(f"T2: object {i!r} is missing its face with rays {f.rays}")
 
@@ -404,9 +404,9 @@ def verify_face_embeddings(d: TightDiagram, c: ColimitResult) -> tuple[str, ...]
     return tuple(violations)
 
 
-def _embedded_rays(obj: ToricMonoid, emb: IntMatrix) -> list[tuple[int, ...]]:
+def _embedded_rays(obj: Cone, emb: IntMatrix) -> list[tuple[int, ...]]:
     """The object's extreme rays carried into the colimit by its embedding."""
-    return [emb.apply(x) for x in ray_coordinates(obj.cone)]
+    return [emb.apply(x) for x in ray_coordinates(obj)]
 
 
 def is_join_closed(sub: Subdiagram):
@@ -443,7 +443,7 @@ def is_join_closed(sub: Subdiagram):
             if below[b] & bit[a] or below[a] & bit[b]:
                 continue  # the join is the upper one's image, which it realizes
             for p in sorted(comp[a].keys() & comp[b].keys()):
-                join_face = face_join(d.objects[p].cone, images[a, p], images[b, p])
+                join_face = face_join(d.objects[p], images[a, p], images[b, p])
                 holders = realizers[p][join_face]
                 if not any(x in sub.member_ids for x in holders):
                     return False, (a, b, holders[0])
@@ -486,7 +486,7 @@ def extend_diagram_functional(
     values = {}
     for i in members:
         coeffs = int_vector(chi[i])
-        if len(coeffs) != d.objects[i].lattice_rank:
+        if len(coeffs) != d.objects[i].ambient_rank:
             raise IncompatibleFamily(f"coefficients for {i!r} have the wrong length")
         values[i] = IntMatrix(1, len(coeffs), (coeffs,))
 
@@ -499,7 +499,7 @@ def extend_diagram_functional(
 
     if mode == "nonneg_positive_away":
         for i in members:
-            for r in d.objects[i].cone.rays:
+            for r in d.objects[i].rays:
                 if values[i].apply(r)[0] < 0:
                     raise NegativeOnSub(f"negative on ray {r} of member {i!r}")
 
@@ -520,8 +520,8 @@ def extend_diagram_functional(
                 morphism = FaceMorphism(d.objects[dm], d.objects[b], comp[dm][b])
                 psi = Functional(values[dm].row(0))
             else:
-                origin = ToricMonoid(0, cone_from_rays(0, []))
-                morphism = FaceMorphism(origin, d.objects[b], IntMatrix.zeros(d.objects[b].lattice_rank, 0))
+                origin = cone_from_rays(0, [])
+                morphism = FaceMorphism(origin, d.objects[b], IntMatrix.zeros(d.objects[b].ambient_rank, 0))
                 psi = Functional(())
             try:
                 extended = extend_functional(morphism, psi, mode).coefficients
@@ -570,7 +570,7 @@ def face_diagram(c: Cone) -> TightDiagram:
     ray_index = {r: k for k, r in enumerate(c.rays)}
     all_faces = faces(c)
     names = ["f" + "".join(f"_{ray_index[r]}" for r in f.rays) for f in all_faces]
-    objects = {fn: ToricMonoid(n, f) for fn, f in zip(names, all_faces)}
+    objects = dict(zip(names, all_faces))
     # faces of one cone are ordered by their ray bitmasks and come sorted by
     # ray count, so g covers f unless a cover of f met earlier lies inside g
     masks = [sum(1 << ray_index[r] for r in f.rays) for f in all_faces]
@@ -592,10 +592,10 @@ def coproduct(a: TightDiagram, b: TightDiagram) -> TightDiagram:
     are dropped in favor of the shared origin "0", which maps into every
     remaining object through empty matrices.
     """
-    objects = {"0": ToricMonoid(0, cone_from_rays(0, []))}
+    objects = {"0": cone_from_rays(0, [])}
     edges = []
     for prefix, d in (("a:", a), ("b:", b)):
-        zero_ids = {i for i, o in d.objects.items() if o.cone.is_zero()}
+        zero_ids = {i for i, o in d.objects.items() if o.is_zero()}
         for i, obj in d.objects.items():
             if i in zero_ids:
                 continue
@@ -606,7 +606,5 @@ def coproduct(a: TightDiagram, b: TightDiagram) -> TightDiagram:
             edges.append(DiagramMorphism(prefix + e.source_id, prefix + e.target_id, e.matrix))
         for i, obj in d.objects.items():
             if i not in zero_ids:
-                edges.append(
-                    DiagramMorphism("0", prefix + i, IntMatrix.zeros(obj.lattice_rank, 0))
-                )
+                edges.append(DiagramMorphism("0", prefix + i, IntMatrix.zeros(obj.ambient_rank, 0)))
     return TightDiagram(objects, edges)

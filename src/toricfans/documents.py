@@ -18,7 +18,9 @@ integer: ``2.0`` for a rank or cone index, and a decimal string that is not
 exactly ``-?[0-9]+``.  An integer longer than Python's int digit limit
 (4300 by default) is refused, in a number literal or a string.  A stated
 rank (ambient, lattice or target) above MAX_RANK is refused before any
-analysis.
+analysis.  A monoid is decoded to its cone, the monoid being the cone's
+lattice points; its document states a lattice_rank, which must equal the
+cone's ambient_rank.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .cone import Cone, cone_from_rays
 from .diagram import ColimitResult, DiagramMorphism, TightDiagram, verify_face_embeddings
 from .errors import DomainError, InternalError
 from .intlin import IntMatrix
-from .monoid import ToricMonoid, gp
+from .monoid import gp
 from .stackyfan import ChartData, Fan, StackyFan
 
 FORMAT_VERSION = "1"
@@ -348,16 +350,16 @@ def decode_cone(payload) -> Cone:
     return cone_from_rays(_within_limit(n), rays)
 
 
-def encode_monoid(m: ToricMonoid) -> dict:
-    return {"lattice_rank": m.lattice_rank, "cone": encode_cone(m.cone)}
+def encode_monoid(c: Cone) -> dict:
+    return {"lattice_rank": c.ambient_rank, "cone": encode_cone(c)}
 
 
-def decode_monoid(payload) -> ToricMonoid:
+def decode_monoid(payload) -> Cone:
     n = decode_int(payload["lattice_rank"])
     # compared first; decode_cone then holds the rank to MAX_RANK
     if decode_int(payload["cone"]["ambient_rank"]) != n:
         raise DocumentError("cone ambient_rank differs from lattice_rank")
-    return ToricMonoid(n, decode_cone(payload["cone"]))
+    return decode_cone(payload["cone"])
 
 
 def encode_diagram(d: TightDiagram) -> dict:
@@ -378,7 +380,7 @@ def decode_diagram(payload) -> TightDiagram:
         if src is None or m["to"] not in objects:
             raise DocumentError(f"morphism references unknown object {m['from']!r} or {m['to']!r}")
         morphisms.append(
-            DiagramMorphism(m["from"], m["to"], decode_matrix(m["matrix"], src.lattice_rank))
+            DiagramMorphism(m["from"], m["to"], decode_matrix(m["matrix"], src.ambient_rank))
         )
     try:
         return TightDiagram(objects, morphisms)

@@ -1,8 +1,10 @@
 """Toric monoids, face inclusions between them, and functional extension.
 
-A ToricMonoid is the monoid of lattice points of a pointed cone.  Morphisms
-are lattice maps carrying the source cone isomorphically onto a face of the
-target cone, with the group completion landing as a saturated sublattice.
+A toric monoid is the monoid of lattice points of a pointed cone, so a
+Cone stands for it here: its ambient rank is the monoid's lattice rank.
+Morphisms are lattice maps carrying the source cone isomorphically onto a
+face of the target cone, with the group completion landing as a saturated
+sublattice.
 extend_functional pushes a functional on a face out to the whole monoid,
 optionally making it strictly positive away from that face.
 """
@@ -29,18 +31,6 @@ class NegativeOnFace(DomainError):
 
 
 @dataclass(frozen=True)
-class ToricMonoid:
-    """Lattice points of a pointed cone inside Z^lattice_rank."""
-
-    lattice_rank: int
-    cone: Cone
-
-    def __post_init__(self):
-        if self.cone.ambient_rank != self.lattice_rank:
-            raise ValueError("cone does not live in the monoid's lattice")
-
-
-@dataclass(frozen=True)
 class FaceMorphism:
     """A lattice map meant to include source as a face of target.
 
@@ -48,24 +38,24 @@ class FaceMorphism:
     verify_face_morphism.
     """
 
-    source: ToricMonoid
-    target: ToricMonoid
+    source: Cone
+    target: Cone
     map: IntMatrix
 
     def __post_init__(self):
-        if self.map.rows != self.target.lattice_rank or self.map.cols != self.source.lattice_rank:
+        if self.map.rows != self.target.ambient_rank or self.map.cols != self.source.ambient_rank:
             raise ValueError("morphism matrix shape does not match the lattices")
 
 
-def gp(m: ToricMonoid) -> IntMatrix:
-    """Saturated basis (columns) of the group completion: lattice points of
-    the span of the cone."""
-    return span_sublattice(m.cone)
+def gp(c: Cone) -> IntMatrix:
+    """Saturated basis (columns) of the group completion of c's monoid:
+    lattice points of the span of the cone."""
+    return span_sublattice(c)
 
 
 def image_cone(f: FaceMorphism) -> Cone:
     """The cone generated by the images of the source's extreme rays."""
-    return subcone(f.target.cone, [f.map.apply(r) for r in f.source.cone.rays])
+    return subcone(f.target, [f.map.apply(r) for r in f.source.rays])
 
 
 def verify_face_morphism(f: FaceMorphism) -> tuple[str, ...]:
@@ -82,13 +72,13 @@ def verify_face_morphism(f: FaceMorphism) -> tuple[str, ...]:
         return ("not injective",)
     violations = []
     img = image_cone(f)
-    if not is_face(f.target.cone, img):
+    if not is_face(f.target, img):
         violations.append("image not a face")
     if any(x != 1 for x in factors):
         s = f.map @ gp(f.source)
         if invariant_factors(s) != tuple([1] * s.cols):
             violations.append("not saturated")
-    if not violations and img == f.target.cone:
+    if not violations and img == f.target:
         violations.append("face not proper")
     return tuple(violations)
 
@@ -113,7 +103,7 @@ def extend_functional(f: FaceMorphism, psi: Functional, mode: str = "nonneg_posi
     """
     if mode not in ("arbitrary", "nonneg_positive_away"):
         raise ValueError(f"unknown mode {mode!r}")
-    if len(psi.coefficients) != f.source.lattice_rank:
+    if len(psi.coefficients) != f.source.ambient_rank:
         raise ValueError("coefficient length does not match the source lattice")
 
     basis = gp(f.source)
@@ -124,13 +114,12 @@ def extend_functional(f: FaceMorphism, psi: Functional, mode: str = "nonneg_posi
     if mode == "arbitrary":
         out = Functional(chi0)
     else:
-        for r in f.source.cone.rays:
+        for r in f.source.rays:
             if psi(r) < 0:
                 raise NegativeOnFace(f"negative on source ray {r}")
-        target = f.target.cone
-        chi_face = supporting_functional(target, image_cone(f))
+        chi_face = supporting_functional(f.target, image_cone(f))
         k = 0
-        for r in target.rays:
+        for r in f.target.rays:
             gap = chi_face(r)
             if gap:  # rays on the face have gap 0 and stay untouched
                 have = sum(a * b for a, b in zip(chi0, r))

@@ -17,6 +17,7 @@ from .cone import NotPointed, cone_from_rays, intersection, is_face
 from .diagram import TightDiagram
 from .errors import DomainError
 from .intlin import (
+    CokernelInvariants,
     IntMatrix,
     cokernel_invariants,
     int_vector,
@@ -79,12 +80,6 @@ class StackyFan:
             raise ValueError("beta shape does not match the fan and target lattices")
         if cokernel_invariants(self.beta).free_rank != 0:
             raise InfiniteCokernel("beta does not have finite cokernel")
-
-
-@dataclass(frozen=True)
-class GroupDescription:
-    torus_rank: int
-    torsion: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -195,10 +190,10 @@ def is_cohomologically_affine(sf: StackyFan) -> bool:
     return len(sf.fan.maximal_cones) == 1
 
 
-def group_description(sf: StackyFan) -> GroupDescription:
-    """Stabilizer group data: cokernel invariants of beta transpose."""
-    inv = cokernel_invariants(sf.beta.transpose())
-    return GroupDescription(inv.free_rank, inv.torsion)
+def group_description(sf: StackyFan) -> CokernelInvariants:
+    """Stabilizer group data: the cokernel invariants of beta transpose, whose
+    free rank is the torus rank that documents write as "torus_rank"."""
+    return cokernel_invariants(sf.beta.transpose())
 
 
 def canonical_cover(f: Fan) -> StackyFan:

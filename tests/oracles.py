@@ -342,11 +342,11 @@ def face_morphism_violations(f):
         return ("not injective",)
     violations = []
     img = image_cone(f)
-    if not is_face(f.target.cone, img):
+    if not is_face(f.target, img):
         violations.append("image not a face")
     s = f.map @ gp(f.source)
     if invariant_factors(s) != tuple([1] * s.cols):
         violations.append("not saturated")
-    if not violations and img == f.target.cone:
+    if not violations and img == f.target:
         violations.append("face not proper")
     return tuple(violations)

@@ -35,6 +35,7 @@ from toricfans.diagram import (
     verify_face_embeddings,
 )
 from toricfans.intlin import (
+    CokernelInvariants,
     IntMatrix,
     complement_summand,
     kernel_basis,
@@ -45,7 +46,6 @@ from toricfans.intlin import (
 from toricfans.monoid import gp
 from toricfans.stackyfan import (
     ChartData,
-    GroupDescription,
     canonical_cover,
     glue,
     group_description,
@@ -81,7 +81,7 @@ def image_cone(d: TightDiagram, colim: ColimitResult, i: str):
     span = gp(obj)
     emb = colim.embeddings[i]
     rays = []
-    for r in obj.cone.rays:
+    for r in obj.rays:
         coords = lattice_coordinates(span, IntMatrix.from_cols([r], rows=len(r)))
         rays.append(emb.apply(coords.col(0)))
     return cone_from_rays(colim.colimit_rank, rays)
@@ -167,7 +167,7 @@ def test_criterion_3_doubled_line_presentation():
     assert sf.fan.lattice_rank == 2
     assert sf.fan.rays == ((0, 1), (1, 0))
     assert sf.fan.maximal_cones == ((0,), (1,))
-    assert group_description(sf) == GroupDescription(1, ())
+    assert group_description(sf) == CokernelInvariants(1, ())
     return "beta = [1 1] on Z^2, fan {0, e1-ray, e2-ray}, group (1, [])"
 
 
@@ -201,8 +201,8 @@ def test_criterion_5_glued_fan_is_subfan_of_one_cone():
             da = face_diagram(random_pointed_cone(rng, max_rank=2, max_rays=4, full_dim=True))
             db = face_diagram(random_pointed_cone(rng, max_rank=2, max_rays=4, full_dim=True))
             d = coproduct(da, db)
-            na = next(o.lattice_rank for i, o in d.objects.items() if i.startswith("a:"))
-            nb = next(o.lattice_rank for i, o in d.objects.items() if i.startswith("b:"))
+            na = next(o.ambient_rank for i, o in d.objects.items() if i.startswith("a:"))
+            nb = next(o.ambient_rank for i, o in d.objects.items() if i.startswith("b:"))
             u = random_unimodular(rng, na + nb)
             block_a = IntMatrix.from_cols([u.col(j) for j in range(na)], rows=na + nb)
             block_b = IntMatrix.from_cols([u.col(j) for j in range(na, na + nb)], rows=na + nb)
@@ -269,7 +269,7 @@ def test_criterion_7_canonical_cover_postconditions():
     doc = documents.loads((FIXTURES / "a1-cone-fan.json").read_text("utf-8"))
     a1 = documents.decode_fan(doc.payload)
     g = group_description(canonical_cover(a1))
-    assert g == GroupDescription(0, (2,))
+    assert g == CokernelInvariants(0, (2,))
     return "100 covers smooth; half-plane quotient cover has group (0, [2])"
 
 

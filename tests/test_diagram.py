@@ -28,7 +28,7 @@ from toricfans.diagram import (
     verify_face_embeddings,
 )
 from toricfans.intlin import IntMatrix, lattice_coordinates
-from toricfans.monoid import ToricMonoid, gp
+from toricfans.monoid import gp
 
 from oracles import cover_pairs, induced_subdiagram
 from randomgen import below_sets, paraboloid_cone, random_pointed_cone, random_tight_diagram
@@ -62,8 +62,8 @@ def test_quadrant_face_diagram_is_tight():
 def test_missing_zero_face_violates_t2():
     d = TightDiagram(
         {
-            "q": ToricMonoid(2, QUADRANT),
-            "r": ToricMonoid(1, cone_from_rays(1, [(1,)])),
+            "q": QUADRANT,
+            "r": cone_from_rays(1, [(1,)]),
         },
         [DiagramMorphism("r", "q", IntMatrix.from_cols([(1, 0)]))],
     )
@@ -74,9 +74,9 @@ def test_missing_zero_face_violates_t2():
 
 
 def _doubled_plane() -> TightDiagram:
-    origin = ToricMonoid(0, cone_from_rays(0, []))
-    ray = ToricMonoid(1, cone_from_rays(1, [(1,)]))
-    plane = ToricMonoid(2, QUADRANT)
+    origin = cone_from_rays(0, [])
+    ray = cone_from_rays(1, [(1,)])
+    plane = QUADRANT
     edges = [
         DiagramMorphism("0", "r1", IntMatrix.zeros(1, 0)),
         DiagramMorphism("0", "r2", IntMatrix.zeros(1, 0)),
@@ -99,9 +99,9 @@ def test_doubled_plane_fails_exactly_t4():
 
 
 def test_disagreeing_composites_violate_t3():
-    origin = ToricMonoid(0, cone_from_rays(0, []))
-    ray = ToricMonoid(1, cone_from_rays(1, [(1,)]))
-    plane = ToricMonoid(2, QUADRANT)
+    origin = cone_from_rays(0, [])
+    ray = cone_from_rays(1, [(1,)])
+    plane = QUADRANT
     d = TightDiagram(
         {"0": origin, "r": ray, "s": plane},
         [
@@ -115,13 +115,13 @@ def test_disagreeing_composites_violate_t3():
 
 
 def test_morphism_cycle_is_reported():
-    ray = ToricMonoid(1, cone_from_rays(1, [(1,)]))
+    ray = cone_from_rays(1, [(1,)])
     d = TightDiagram({"r": ray}, [DiagramMorphism("r", "r", IntMatrix.identity(1))])
     assert "T3: the diagram contains a directed morphism cycle" in validate_tight(d)
 
 
 def test_two_object_cycle_ends_the_analysis_after_t1():
-    ray = ToricMonoid(1, cone_from_rays(1, [(1,)]))
+    ray = cone_from_rays(1, [(1,)])
     identity = IntMatrix.identity(1)
     d = TightDiagram({"r": ray, "s": ray}, [DiagramMorphism("r", "s", identity), DiagramMorphism("s", "r", identity)])
     *t1, last = validate_tight(d)
@@ -131,12 +131,12 @@ def test_two_object_cycle_ends_the_analysis_after_t1():
 
 
 def test_construction_rejects_bad_shapes_and_ids():
-    ray = ToricMonoid(1, cone_from_rays(1, [(1,)]))
+    ray = cone_from_rays(1, [(1,)])
     with pytest.raises(ValueError):
         TightDiagram({"r": ray}, [DiagramMorphism("r", "missing", IntMatrix.identity(1))])
     with pytest.raises(ValueError):
         TightDiagram(
-            {"r": ray, "s": ToricMonoid(2, QUADRANT)},
+            {"r": ray, "s": QUADRANT},
             [DiagramMorphism("r", "s", IntMatrix.identity(2))],
         )
 
@@ -203,8 +203,8 @@ def test_coproduct_drops_zero_only_components():
 def test_colimit_requires_tightness():
     d = TightDiagram(
         {
-            "q": ToricMonoid(2, QUADRANT),
-            "r": ToricMonoid(1, cone_from_rays(1, [(1,)])),
+            "q": QUADRANT,
+            "r": cone_from_rays(1, [(1,)]),
         },
         [DiagramMorphism("r", "q", IntMatrix.from_cols([(1, 0)]))],
     )
@@ -238,10 +238,10 @@ def test_join_closed_requires_tight_members():
 
 def test_join_closed_requires_tight_parent():
     # the octant misses its other faces (T2), so joins inside it are undefined
-    zero = ToricMonoid(0, cone_from_rays(0, []))
-    ray = ToricMonoid(1, cone_from_rays(1, [(1,)]))
+    zero = cone_from_rays(0, [])
+    ray = cone_from_rays(1, [(1,)])
     d = TightDiagram(
-        {"z": zero, "e1": ray, "e2": ray, "O": ToricMonoid(3, OCTANT)},
+        {"z": zero, "e1": ray, "e2": ray, "O": OCTANT},
         [
             DiagramMorphism("z", "e1", IntMatrix.zeros(1, 0)),
             DiagramMorphism("z", "e2", IntMatrix.zeros(1, 0)),
@@ -347,6 +347,75 @@ def test_extend_rejects_unknown_mode():
         extend_diagram_functional(sub, {ZERO: (0, 0)}, "positively")
 
 
+def _three_rays_into_the_quadrant() -> TightDiagram:
+    """r1 and r2 both onto the quadrant's (1,0) ray, r3 onto its (0,1) ray."""
+    ray = cone_from_rays(1, [(1,)])
+    objects = {"0": cone_from_rays(0, []), "r1": ray, "r2": ray, "r3": ray, "P": QUADRANT}
+    edges = [DiagramMorphism("0", i, IntMatrix.zeros(objects[i].ambient_rank, 0)) for i in objects if i != "0"]
+    edges += [
+        DiagramMorphism("r1", "P", IntMatrix.from_cols([(1, 0)])),
+        DiagramMorphism("r2", "P", IntMatrix.from_cols([(1, 0)])),
+        DiagramMorphism("r3", "P", IntMatrix.from_cols([(0, 1)])),
+    ]
+    return TightDiagram(objects, edges)
+
+
+def _check_extension(sub: Subdiagram, chi, mode: str, phi: Functional) -> None:
+    """phi restricts to chi on each member's gp and, in positive mode, is
+    >= 0 on every object's colimit image and >= 1 on every ray of it outside
+    the members' images."""
+    d = sub.parent
+    c = colimit(d)
+    row = IntMatrix(1, c.colimit_rank, (phi.coefficients,))
+    images = {}
+    for i, obj in d.objects.items():
+        if i in sub.member_ids:
+            assert row @ c.embeddings[i] == IntMatrix(1, obj.ambient_rank, (tuple(chi[i]),)) @ gp(obj)
+        coords = [lattice_coordinates(gp(obj), IntMatrix.from_cols([r], rows=len(r))).col(0) for r in obj.rays]
+        images[i] = {c.embeddings[i].apply(x) for x in coords}
+    if mode == "nonneg_positive_away":
+        member_rays = set().union(*(images[i] for i in sub.member_ids))
+        for rays in images.values():
+            assert all(phi(r) >= (0 if r in member_rays else 1) for r in rays)
+
+
+@pytest.mark.parametrize("mode", ["arbitrary", "nonneg_positive_away"])
+def test_extend_restricts_to_an_outside_object_below_a_member(mode):
+    # r2 is outside, and the member P sits above it, so its value is P's restricted
+    d = _three_rays_into_the_quadrant()
+    assert validate_tight(d) == ()
+    chi = {"0": (), "r1": (2,), "r3": (3,), "P": (2, 3)}
+    sub = Subdiagram(d, frozenset(chi))
+    phi = extend_diagram_functional(sub, chi, mode)
+    assert phi == Functional((2, 3))
+    _check_extension(sub, chi, mode, phi)
+
+
+@pytest.mark.parametrize("mode, expected", [("arbitrary", (0, 0)), ("nonneg_positive_away", (1, 1))])
+def test_extend_from_no_members_starts_at_the_origin(mode, expected):
+    # nothing is processed below P, so P extends from the rank-0 origin
+    sub = Subdiagram(_three_rays_into_the_quadrant(), frozenset())
+    phi = extend_diagram_functional(sub, {}, mode)
+    assert phi == Functional(expected)
+    _check_extension(sub, {}, mode, phi)
+
+
+def test_composite_whose_image_spans_a_line_has_no_image_cone():
+    # (1, -1) sends the quadrant's rays to 1 and -1, which span a line
+    d = TightDiagram(
+        {"q": QUADRANT, "z": cone_from_rays(1, [(1,)])},
+        [DiagramMorphism("q", "z", IntMatrix.from_rows([(1, -1)]))],
+    )
+    assert validate_tight(d) == (
+        "T1: morphism 'q'->'z': not injective",
+        "T2: object 'q' is missing its face with rays ()",
+        "T2: object 'q' is missing its face with rays ((0, 1),)",
+        "T2: object 'q' is missing its face with rays ((1, 0),)",
+        "T2: object 'z' is missing its face with rays ()",
+    )
+    assert d.analysis.images["q", "z"] is None
+
+
 def test_colimit_is_deterministic():
     d = coproduct(face_diagram(QUADRANT), NAT_LINE)
     first, second = colimit(d), colimit(d)
@@ -390,7 +459,7 @@ def test_coproducts_of_face_diagrams_verify(vecs_a, vecs_b):
     d = coproduct(face_diagram(a), face_diagram(b))
     assert validate_tight(d) == ()
     result = colimit(d)
-    assert result.colimit_rank == gp(ToricMonoid(3, a)).cols + gp(ToricMonoid(3, b)).cols
+    assert result.colimit_rank == gp(a).cols + gp(b).cols
     assert verify_face_embeddings(d, result) == ()
     assert _embeddings_commute(d, result)
 
@@ -444,7 +513,7 @@ def test_composite_images_match_cone_from_rays(seed):
     for x, targets in analysis.composites.items():
         for p, m in targets.items():
             try:
-                want = cone_from_rays(m.rows, [m.apply(r) for r in d.objects[x].cone.rays])
+                want = cone_from_rays(m.rows, [m.apply(r) for r in d.objects[x].rays])
             except NotPointed:
                 want = None
             assert analysis.images[x, p] == want
@@ -461,7 +530,7 @@ def _join_closed_by_face_scan(sub: Subdiagram):
         for b in members[k:]:
             for p in sorted(comp[a].keys() & comp[b].keys()):
                 joint = set(images[a, p].rays) | set(images[b, p].rays)
-                holding = [f for f in faces(sub.parent.objects[p].cone) if joint <= set(f.rays)]
+                holding = [f for f in faces(sub.parent.objects[p]) if joint <= set(f.rays)]
                 join_face = min(holding, key=lambda f: (len(f.rays), f.rays))
                 realizers = sorted(x for x in below[p] if images[x, p] == join_face)
                 if not any(x in sub.member_ids for x in realizers):
@@ -483,7 +552,7 @@ def _octants_glued_along_a_doubled_wall() -> TightDiagram:
             f"{side}.23": ((2, 3), ("r2", f"{side}.r3")),
             side: ((1, 2, 3), ("m", f"{side}.x", f"{side}.13", f"{side}.23")),
         })
-    objects = {i: ToricMonoid(3, cone_from_rays(3, [axes[k] for k in ks])) for i, (ks, _) in spec.items()}
+    objects = {i: cone_from_rays(3, [axes[k] for k in ks]) for i, (ks, _) in spec.items()}
     edges = [DiagramMorphism(x, y, IntMatrix.identity(3)) for y, (_, xs) in spec.items() for x in xs]
     return TightDiagram(objects, edges)
 

@@ -10,7 +10,6 @@ from toricfans.diagram import coproduct, face_diagram
 from toricfans.documents import Document, DocumentError
 from toricfans.errors import InternalError
 from toricfans.intlin import IntMatrix
-from toricfans.monoid import ToricMonoid
 from toricfans.stackyfan import ChartData, Fan, InfiniteCokernel, StackyFan
 
 QUADRANT = cone_from_rays(2, [(1, 0), (0, 1)])
@@ -27,7 +26,7 @@ def test_cone_roundtrip():
 
 
 def test_monoid_roundtrip():
-    m = ToricMonoid(2, QUADRANT)
+    m = QUADRANT
     doc = roundtrip(Document("monoid", documents.encode_monoid(m)))
     assert documents.decode_monoid(doc.payload) == m
 

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hermite_normal_form
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from toricfans.intlin import (
     DependentColumns,
@@ -438,3 +440,38 @@ def test_invariant_factors_against_sympy(a):
 @pytest.mark.parametrize("a", PINNED)
 def test_invariant_factors_against_sympy_pinned(a):
     assert invariant_factors(a) == _sympy_factors(a)
+
+
+def _sympy_matrix(a):
+    return Matrix(a.rows, a.cols, [x for r in a.entries for x in r])
+
+
+def _smith_matches_sympy(a):
+    u, d, v = smith_normal_form(a)
+    assert u @ a @ v == d
+    theirs = sympy_smith_normal_form(_sympy_matrix(a), domain=ZZ)
+    assert theirs.shape == (d.rows, d.cols)
+    k = min(a.rows, a.cols)
+    assert [d.entries[i][i] for i in range(k)] == [abs(int(theirs[i, i])) for i in range(k)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_smith_diagonal_against_sympy(a):
+    _smith_matches_sympy(a)
+
+
+@pytest.mark.parametrize("a", PINNED)
+def test_smith_diagonal_against_sympy_pinned(a):
+    _smith_matches_sympy(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(independent_columns())
+def test_reduced_basis_spans_the_lattice_of_sympys_hermite_form(b):
+    # each basis solves the other's columns over Z, so the two column lattices agree
+    h = sympy_hermite_normal_form(_sympy_matrix(b))
+    hnf = IntMatrix.from_rows([[int(x) for x in h.row(i)] for i in range(h.rows)], cols=h.cols)
+    assert (hnf.rows, hnf.cols) == (b.rows, b.cols)
+    assert b @ reduce_basis(b).coordinates(hnf) == hnf
+    assert hnf @ reduce_basis(hnf).coordinates(b) == b

@@ -10,7 +10,6 @@ from toricfans.intlin import IntMatrix, NotSaturated, lattice_coordinates
 from toricfans.monoid import (
     FaceMorphism,
     NegativeOnFace,
-    ToricMonoid,
     extend_functional,
     gp,
     image_cone,
@@ -20,8 +19,8 @@ from oracles import face_morphism_violations
 from randomgen import random_pointed_cone, random_unimodular
 
 
-NAT = ToricMonoid(1, cone_from_rays(1, [(1,)]))
-QUAD = ToricMonoid(2, cone_from_rays(2, [(1, 0), (0, 1)]))
+NAT = cone_from_rays(1, [(1,)])
+QUAD = cone_from_rays(2, [(1, 0), (0, 1)])
 E1 = FaceMorphism(NAT, QUAD, IntMatrix.from_cols([(1, 0)]))
 
 
@@ -31,12 +30,12 @@ def test_gp_full_dimensional():
 
 
 def test_gp_of_ray_is_primitive_generator():
-    m = ToricMonoid(2, cone_from_rays(2, [(1, 2)]))
+    m = cone_from_rays(2, [(1, 2)])
     assert gp(m).columns() == [(1, 2)]
 
 
 def test_gp_of_zero_cone_is_empty():
-    m = ToricMonoid(3, cone_from_rays(3, []))
+    m = cone_from_rays(3, [])
     b = gp(m)
     assert (b.rows, b.cols) == (3, 0)
 
@@ -67,7 +66,7 @@ def test_verify_unsaturated_inclusion():
 
 
 def test_verify_zero_monoid_into_quadrant():
-    origin = ToricMonoid(0, cone_from_rays(0, []))
+    origin = cone_from_rays(0, [])
     into = FaceMorphism(origin, QUAD, IntMatrix(2, 0, ((), ())))
     assert verify_face_morphism(into) == ()
 
@@ -89,7 +88,7 @@ def test_extend_arbitrary_mode_pinned():
 
 
 def test_extend_from_zero_face():
-    origin = ToricMonoid(0, cone_from_rays(0, []))
+    origin = cone_from_rays(0, [])
     into = FaceMorphism(origin, QUAD, IntMatrix(2, 0, ((), ())))
     psi = Functional(())
     out = extend_functional(into, psi, "nonneg_positive_away")
@@ -124,9 +123,7 @@ def _face_inclusion(c: Cone, f: Cone) -> FaceMorphism:
         inner = cone_from_rays(basis.cols, coords.columns())
     else:
         inner = cone_from_rays(0, [])
-    src = ToricMonoid(basis.cols, inner)
-    tgt = ToricMonoid(c.ambient_rank, c)
-    return FaceMorphism(src, tgt, basis)
+    return FaceMorphism(inner, c, basis)
 
 
 vectors = st.lists(
@@ -150,10 +147,10 @@ def test_face_inclusions_verify_and_extend(vecs, data):
     assert verify_face_morphism(inc) == ()
 
     # extension restricts exactly and clears 1 on the rays off the face
-    src_rays = inc.source.cone.rays
+    src_rays = inc.source.rays
     coeffs = tuple(
         data.draw(st.integers(min_value=0, max_value=4), label="psi")
-        for _ in range(inc.source.lattice_rank)
+        for _ in range(inc.source.ambient_rank)
     )
     psi = Functional(coeffs)
     assume(all(psi(r) >= 0 for r in src_rays))
@@ -193,5 +190,5 @@ def test_face_morphism_check_matches_the_two_step_check(seed, kind):
         tgt = cone_from_rays(b, gens)
     except NotPointed:
         tgt = cone_from_rays(b, [])
-    f = FaceMorphism(ToricMonoid(a, src), ToricMonoid(b, tgt), m)
+    f = FaceMorphism(src, tgt, m)
     assert verify_face_morphism(f) == face_morphism_violations(f)

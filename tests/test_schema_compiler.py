@@ -25,7 +25,6 @@ from toricfans import documents
 from toricfans.cli import main
 from toricfans.errors import InternalError
 from toricfans.intlin import IntMatrix
-from toricfans.monoid import ToricMonoid
 from toricfans.stackyfan import StackyFan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -69,7 +68,7 @@ def _encoded(rng) -> list:
     for _ in range(3):
         c = random_pointed_cone(rng, max_rank=3, max_rays=5)
         out.append(documents.encode_cone(c))
-        out.append(documents.encode_monoid(ToricMonoid(c.ambient_rank, c)))
+        out.append(documents.encode_monoid(c))
         fan = random_complete_or_affine_fan(rng)
         out.append(documents.encode_fan(fan))
         sf = StackyFan(fan, IntMatrix.identity(fan.lattice_rank), fan.lattice_rank)

@@ -5,12 +5,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from toricfans.cone import NotPointed, cone_from_rays
 from toricfans.diagram import NotTight, TightDiagram, colimit, coproduct, face_diagram
-from toricfans.intlin import IntMatrix
-from toricfans.monoid import ToricMonoid, gp
+from toricfans.intlin import CokernelInvariants, IntMatrix
+from toricfans.monoid import gp
 from toricfans.stackyfan import (
     ChartData,
     Fan,
-    GroupDescription,
     IncompatibleBetas,
     InfiniteCokernel,
     RaysDoNotSpan,
@@ -129,7 +128,7 @@ def test_glue_doubled_line_pinned():
     assert sf.fan.maximal_cones == ((0,), (1,))
     assert not is_cohomologically_affine(sf)
     assert is_smooth(sf)
-    assert group_description(sf) == GroupDescription(1, ())
+    assert group_description(sf) == CokernelInvariants(1, ())
 
 
 def test_glue_of_no_charts_is_the_empty_fan():
@@ -149,9 +148,9 @@ def test_glue_single_chart_is_identity():
 
 def test_glue_rejects_doubled_plane():
     quadrant = cone_from_rays(2, [(1, 0), (0, 1)])
-    origin = ToricMonoid(0, cone_from_rays(0, []))
-    ray = ToricMonoid(1, cone_from_rays(1, [(1,)]))
-    plane = ToricMonoid(2, quadrant)
+    origin = cone_from_rays(0, [])
+    ray = cone_from_rays(1, [(1,)])
+    plane = quadrant
     from toricfans.diagram import DiagramMorphism
 
     edges = [
@@ -207,15 +206,15 @@ def test_smoothness_of_a1_cone():
 
 def test_group_description_pinned():
     ident = StackyFan(QUADRANT_FAN, IntMatrix.identity(2), 2)
-    assert group_description(ident) == GroupDescription(0, ())
+    assert group_description(ident) == CokernelInvariants(0, ())
     mu2 = StackyFan(Fan(1, ((1,),), ((0,),)), IntMatrix.from_rows([(2,)], cols=1), 1)
-    assert group_description(mu2) == GroupDescription(0, (2,))
+    assert group_description(mu2) == CokernelInvariants(0, (2,))
 
 
 def test_canonical_cover_of_quadrant_fan_is_unimodular():
     sf = canonical_cover(QUADRANT_FAN)
     assert is_smooth(sf)
-    assert group_description(sf) == GroupDescription(0, ())
+    assert group_description(sf) == CokernelInvariants(0, ())
     assert sf.beta == IntMatrix.from_cols([(0, 1), (1, 0)])
 
 
@@ -224,7 +223,7 @@ def test_canonical_cover_of_a1_cone_pinned():
     assert sf.beta == IntMatrix.from_rows([(1, 1), (0, 2)], cols=2)
     assert sf.fan == Fan(2, ((1, 0), (0, 1)), ((0, 1),))
     assert is_smooth(sf)
-    assert group_description(sf) == GroupDescription(0, (2,))
+    assert group_description(sf) == CokernelInvariants(0, (2,))
 
 
 def test_canonical_cover_of_doubled_line_matches_glue():
