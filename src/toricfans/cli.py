@@ -152,7 +152,7 @@ def cmd_glue(doc: Document) -> tuple[Document, int]:
 def cmd_check(doc: Document, which: str) -> tuple[Document, int]:
     if doc.kind == "fan":
         fan = documents.decode_fan(doc.payload)
-        sf = StackyFan(fan, IntMatrix.identity(fan.lattice_rank), fan.lattice_rank)
+        sf = StackyFan(fan, IntMatrix.identity(fan.lattice_rank))
     elif doc.kind == "stackyfan":
         sf = documents.decode_stackyfan(doc.payload)
     else:

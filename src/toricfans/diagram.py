@@ -152,9 +152,8 @@ class Subdiagram:
 
 @dataclass(frozen=True)
 class ColimitResult:
-    colimit_rank: int
-    cone: Cone
-    embeddings: Mapping[str, IntMatrix]  # id -> (colimit_rank x gp-rank of object)
+    cone: Cone  # its ambient_rank is the rank of the colimit lattice
+    embeddings: Mapping[str, IntMatrix]  # id -> (cone.ambient_rank x gp-rank of object)
 
 
 @dataclass(frozen=True)
@@ -228,17 +227,19 @@ class DiagramAnalysis:
             embeddings[i] = embeddings[carrier] @ self.gp_matrix(i, carrier)
 
         rays = [r for m in self.maximal_ids for r in _embedded_rays(self.objects[m], embeddings[m])]
-        return ColimitResult(L, cone_from_rays(L, rays), MappingProxyType(embeddings))
+        return ColimitResult(cone_from_rays(L, rays), MappingProxyType(embeddings))
 
     def descend(self, restrictions: Mapping[str, IntMatrix], rows: int) -> IntMatrix:
-        """The rows x colimit_rank matrix of functionals on the colimit whose
-        rows restrict to those of restrictions[m] (rows x gp rank of m) on
-        each maximal object m's gp basis.  The maximal objects' embeddings
-        have independent stacked rows, so the answer is unique; NotInLattice
-        when it is not integral."""
+        """The matrix of rows functionals on the colimit lattice (of rank the
+        colimit cone's ambient_rank) that restrict to the rows of
+        restrictions[m] (rows x gp rank of m) on each maximal object m's gp
+        basis.  The maximal objects' embeddings have independent stacked
+        rows, so the answer is unique; NotInLattice when it is not integral."""
         c = self.colimit
         ms = self.maximal_ids
-        basis = IntMatrix.from_rows([col for m in ms for col in c.embeddings[m].columns()], cols=c.colimit_rank)
+        basis = IntMatrix.from_rows(
+            [col for m in ms for col in c.embeddings[m].columns()], cols=c.cone.ambient_rank
+        )
         target = IntMatrix.from_rows([col for m in ms for col in restrictions[m].columns()], cols=rows)
         return lattice_coordinates(basis, target).transpose()
 

@@ -36,7 +36,7 @@ from typing import Callable
 
 from .cone import Cone, cone_from_rays
 from .diagram import ColimitResult, DiagramMorphism, TightDiagram, verify_face_embeddings
-from .errors import DomainError, InternalError
+from .errors import InternalError
 from .intlin import IntMatrix
 from .monoid import gp
 from .stackyfan import ChartData, Fan, StackyFan
@@ -69,7 +69,6 @@ class DocumentError(ValueError):
 class Document:
     kind: str
     payload: object
-    version: str = FORMAT_VERSION
 
 
 _DRAFT = "https://json-schema.org/draft/2020-12/schema"
@@ -285,7 +284,7 @@ def dumps(doc: Document) -> str:
     schema so a malformed emission fails loudly at the source."""
     if (error := _checker(doc.kind)(doc.payload)) is not None:
         raise InternalError(f"emitted {doc.kind!r} document fails its schema: {_violation(doc.kind, error)}")
-    body = {"kind": doc.kind, "payload": doc.payload, "version": doc.version}
+    body = {"kind": doc.kind, "payload": doc.payload, "version": FORMAT_VERSION}
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
@@ -413,7 +412,7 @@ def encode_stackyfan(sf: StackyFan, reports: dict | None = None) -> dict:
     out = {
         "fan": encode_fan(sf.fan),
         "beta": encode_matrix(sf.beta),
-        "target_rank": sf.target_rank,
+        "target_rank": sf.beta.rows,
     }
     if reports is not None:
         out["reports"] = reports
@@ -424,12 +423,9 @@ def decode_stackyfan(payload) -> StackyFan:
     fan = decode_fan(payload["fan"])
     beta = decode_matrix(payload["beta"], fan.lattice_rank)
     target_rank = _within_limit(decode_int(payload["target_rank"]))
-    try:
-        return StackyFan(fan, beta, target_rank)
-    except DomainError:
-        raise
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    if (beta.rows, beta.cols) != (target_rank, fan.lattice_rank):
+        raise DocumentError("beta shape does not match the fan and target lattices")
+    return StackyFan(fan, beta)
 
 
 def encode_charts(charts: ChartData) -> dict:
@@ -463,7 +459,7 @@ def decode_functional_request(payload):
 def encode_colimit(d: TightDiagram, result: ColimitResult) -> dict:
     violations = verify_face_embeddings(d, result)
     return {
-        "colimit_rank": result.colimit_rank,
+        "colimit_rank": result.cone.ambient_rank,
         "cone": encode_cone(result.cone),
         "embeddings": {i: encode_matrix(m) for i, m in sorted(result.embeddings.items())},
         "face_embeddings": {"ok": not violations, "violations": list(violations)},

@@ -19,9 +19,9 @@ pivot rule, and the transforms ride along on request:
   one call;
 - complement_summand and saturate build its inverse only.
 
-from_rows and from_cols check every entry of what callers hand in; the
-matrices built here from results already computed use the constructor,
-which trusts its entries.
+from_rows checks every entry and the shape of what callers hand in, and
+from_cols is from_rows transposed; the matrices built here from results
+already computed use the constructor, which trusts its entries.
 
 Products with an identity factor return the other factor unchanged.
 """
@@ -100,16 +100,9 @@ class IntMatrix:
 
     @classmethod
     def from_cols(cls, cols: Iterable[Sequence[int]], *, rows: int | None = None) -> "IntMatrix":
-        data = [tuple(_as_int(x) for x in col) for col in cols]
-        if data:
-            height = len(data[0])
-            if rows is not None and rows != height:
-                raise ValueError("explicit rows disagrees with column height")
-        else:
-            if rows is None:
-                raise ValueError("empty matrix needs explicit rows")
-            height = rows
-        return cls(height, len(data), tuple(tuple(c[i] for c in data) for i in range(height)))
+        """from_rows of the columns, transposed: rows, where given, must be
+        the column height, and is needed when there are no columns."""
+        return cls.from_rows(cols, cols=rows).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

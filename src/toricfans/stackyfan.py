@@ -69,14 +69,13 @@ class Fan:
 
 @dataclass(frozen=True)
 class StackyFan:
-    """A fan on L plus beta: L -> Z^target_rank with finite cokernel."""
+    """A fan on L plus beta: L -> N with finite cokernel; N is Z^beta.rows."""
 
     fan: Fan
     beta: IntMatrix
-    target_rank: int
 
     def __post_init__(self):
-        if (self.beta.rows, self.beta.cols) != (self.target_rank, self.fan.lattice_rank):
+        if self.beta.cols != self.fan.lattice_rank:
             raise ValueError("beta shape does not match the fan and target lattices")
         if cokernel_invariants(self.beta).free_rank != 0:
             raise InfiniteCokernel("beta does not have finite cokernel")
@@ -170,8 +169,8 @@ def glue(charts: ChartData) -> StackyFan:
     fan_rays = sorted(set().union(*keep)) if keep else []
     ray_index = {r: k for k, r in enumerate(fan_rays)}
     maximal_cones = sorted(tuple(sorted(ray_index[r] for r in s)) for s in keep)
-    fan = Fan(analysis.colimit.colimit_rank, tuple(fan_rays), tuple(maximal_cones))
-    return StackyFan(fan, beta, charts.target_rank)
+    fan = Fan(analysis.colimit.cone.ambient_rank, tuple(fan_rays), tuple(maximal_cones))
+    return StackyFan(fan, beta)
 
 
 def is_smooth(sf: StackyFan) -> bool:
@@ -209,4 +208,4 @@ def canonical_cover(f: Fan) -> StackyFan:
     n = len(f.rays)
     basis = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     cover = Fan(n, basis, f.maximal_cones)
-    return StackyFan(cover, mat, f.lattice_rank)
+    return StackyFan(cover, mat)

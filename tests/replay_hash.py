@@ -1,14 +1,15 @@
 """One hash over every reply of the benchmark corpora, to show that a change
 leaves the program's output byte for byte as it was.
 
-    python3 tests/replay_hash.py [--seeds 0 3] [--workloads NAME ...]
+    python3 tests/replay_hash.py [--seeds 0 3] [--workloads NAME ...] [--expect HEX]
 
 Writes the corpus of each workload and seed with perfbench/corpus.py (in a
 child process, into a temporary directory), replays each operation in this
 process through ``toricfans.cli.main`` with the document on stdin, and
 prints the operation count and one sha256 over (exit code, stdout, stderr)
 of all of them, in corpus order.  Run it in two checkouts and compare the
-lines.
+lines, or pass the other checkout's sha256 as ``--expect``: the script then
+exits 1 when the hashes differ.
 
 It measures the ``src/`` of the checkout it sits in, and prints that path.
 It parses the corpus itself instead of importing perfbench/timed.py, which
@@ -66,6 +67,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    p.add_argument("--expect", metavar="HEX", help="exit 1 unless the sha256 is this one")
     args = p.parse_args(argv)
 
     sys.path.insert(0, str(SRC))
@@ -91,6 +93,9 @@ def main(argv=None) -> int:
     print(f"src: {SRC}")
     print(f"operations: {count}")
     print(f"sha256: {digest.hexdigest()}")
+    if args.expect is not None and digest.hexdigest() != args.expect.lower():
+        print(f"expected sha256: {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 

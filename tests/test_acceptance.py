@@ -84,7 +84,7 @@ def image_cone(d: TightDiagram, colim: ColimitResult, i: str):
     for r in obj.rays:
         coords = lattice_coordinates(span, IntMatrix.from_cols([r], rows=len(r)))
         rays.append(emb.apply(coords.col(0)))
-    return cone_from_rays(colim.colimit_rank, rays)
+    return cone_from_rays(colim.cone.ambient_rank, rays)
 
 
 @criterion(1)
@@ -163,7 +163,7 @@ def test_criterion_3_doubled_line_presentation():
     doc = documents.loads((FIXTURES / "doubled-line-charts.json").read_text("utf-8"))
     sf = glue(documents.decode_charts(doc.payload))
     assert sf.beta.entries == ((1, 1),)
-    assert sf.target_rank == 1
+    assert sf.beta.rows == 1
     assert sf.fan.lattice_rank == 2
     assert sf.fan.rays == ((0, 1), (1, 0))
     assert sf.fan.maximal_cones == ((0,), (1,))

@@ -392,6 +392,10 @@ def _fan_with(**changes) -> dict:
     return {**body, **changes}
 
 
+def _doubled_line_with(**changes) -> dict:
+    return {**json.loads(Path(DOUBLED_LINE).read_text("utf-8"))["payload"], **changes}
+
+
 def _diagram_with_float_rank() -> dict:
     diagram = json.loads(Path(QUADRANT_DIAGRAM).read_text("utf-8"))["payload"]
     diagram["objects"]["f_0"]["lattice_rank"] = 2.0
@@ -407,8 +411,7 @@ def _diagram_with_float_rank() -> dict:
         (["validate"], "monoid", {"lattice_rank": 1, "cone": {"ambient_rank": 1.0, "rays": [[1]]}}),
         (["check", "--which", "group"], "stackyfan",
          {"fan": _fan_with(), "beta": [[1, 0], [0, 1]], "target_rank": 2.0}),
-        (["glue"], "charts",
-         {**json.loads(Path(DOUBLED_LINE).read_text("utf-8"))["payload"], "target_rank": 1.0}),
+        (["glue"], "charts", _doubled_line_with(target_rank=1.0)),
     ],
 )
 def test_integer_fields_refuse_integral_floats(argv, kind, body, tmp_path, capsys):
@@ -458,8 +461,7 @@ def _bare_monoid(rank: int) -> dict:
         (["check", "--which", "group"], "fan", _fan_with(lattice_rank=2**60, rays=[], maximal_cones=[]), 2**60),
         (["check", "--which", "group"], "stackyfan",
          {"fan": _fan_with(), "beta": [[1, 0], [0, 1]], "target_rank": 2**60}, 2**60),
-        (["glue"], "charts",
-         {**json.loads(Path(DOUBLED_LINE).read_text("utf-8"))["payload"], "target_rank": 2**60}, 2**60),
+        (["glue"], "charts", _doubled_line_with(target_rank=2**60), 2**60),
     ],
 )
 def test_ranks_above_the_limit_are_refused_up_front(argv, kind, body, rank, tmp_path, capsys):
@@ -478,6 +480,40 @@ def test_a_rank_at_the_limit_is_analysed(tmp_path, capsys):
     code, out, err = invoke(["validate", "--input", path], capsys)
     assert code == 0 and err == ""
     assert payload(out) == {"ok": True}
+
+
+def _plane_monoid(lattice_rank: int, rays) -> dict:
+    return {"lattice_rank": lattice_rank, "cone": {"ambient_rank": 2, "rays": rays}}
+
+
+_WRONG_SHAPE = {
+    "objects": {"a": _plane_monoid(2, [[1, 0]]), "b": _plane_monoid(2, [[1, 0], [0, 1]])},
+    "morphisms": [{"from": "a", "to": "b", "matrix": [[1, 0]]}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, kind, body, message",
+    [
+        (["validate"], "monoid", _plane_monoid(2, [[1]]), "ray length does not match ambient_rank"),
+        (["validate"], "monoid", _plane_monoid(1, [[1, 0]]), "cone ambient_rank differs from lattice_rank"),
+        (["validate"], "diagram", _WRONG_SHAPE, "morphism 'a'->'b' has wrong matrix shape"),
+        (["check", "--which", "group"], "stackyfan",
+         {"fan": _fan_with(lattice_rank=1, rays=[[1]], maximal_cones=[[0]]), "beta": [[1], [1]],
+          "target_rank": 1},
+         "beta shape does not match the fan and target lattices"),
+        (["glue"], "charts", _doubled_line_with(betas={"0": [[]]}),
+         "betas must be indexed exactly by the diagram objects"),
+        (["extend"], "fan", _fan_with(), "extend expects a functional-request document, got 'fan'"),
+        (["glue"], "fan", _fan_with(), "glue expects a charts document, got 'fan'"),
+        (["check", "--which", "smooth"], "diagram", _WRONG_SHAPE,
+         "check expects a fan or stackyfan document, got 'diagram'"),
+    ],
+)
+def test_inconsistent_documents_are_usage_errors(argv, kind, body, message, tmp_path, capsys):
+    path = write_doc(tmp_path / "doc.json", kind, body)
+    code, out, err = invoke([*argv, "--input", path], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_internal_error_is_exit_2_with_a_diagnostic(monkeypatch, capsys):

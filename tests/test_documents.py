@@ -44,7 +44,7 @@ def test_fan_roundtrip():
 
 
 def test_stackyfan_roundtrip():
-    sf = StackyFan(Fan(1, ((1,),), ((0,),)), IntMatrix.from_rows([(2,)]), 1)
+    sf = StackyFan(Fan(1, ((1,),), ((0,),)), IntMatrix.from_rows([(2,)]))
     doc = roundtrip(Document("stackyfan", documents.encode_stackyfan(sf)))
     assert documents.decode_stackyfan(doc.payload) == sf
 

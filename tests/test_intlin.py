@@ -48,6 +48,12 @@ def test_boundary_constructors_refuse_non_int_entries(bad):
         IntMatrix.from_cols([[1, bad]])
 
 
+@pytest.mark.parametrize("cols", [[(1,), (2, 3)], [(1, 2), (3,)]])
+def test_from_cols_refuses_ragged_columns(cols):
+    with pytest.raises(ValueError, match="ragged matrix entries"):
+        IntMatrix.from_cols(cols)
+
+
 def test_smith_pinned_2x2():
     # oracle: d1 = gcd of all entries = 2, d1*d2 = |det| = |2*8 - 4*6| = 8
     a = M([[2, 4], [6, 8]])

@@ -71,7 +71,7 @@ def _encoded(rng) -> list:
         out.append(documents.encode_monoid(c))
         fan = random_complete_or_affine_fan(rng)
         out.append(documents.encode_fan(fan))
-        sf = StackyFan(fan, IntMatrix.identity(fan.lattice_rank), fan.lattice_rank)
+        sf = StackyFan(fan, IntMatrix.identity(fan.lattice_rank))
         out.append(documents.encode_stackyfan(sf))
     out.append(documents.encode_diagram(random_tight_diagram(rng)))
     out.append({"diagram": "quadrant.json", "members": ["f"], "chi": {"f": [0, 0]}, "mode": "arbitrary"})

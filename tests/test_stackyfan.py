@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from toricfans.cone import NotPointed, cone_from_rays
 from toricfans.diagram import NotTight, TightDiagram, colimit, coproduct, face_diagram
-from toricfans.intlin import CokernelInvariants, IntMatrix
+from toricfans.intlin import CokernelInvariants, IntMatrix, invariant_factors
 from toricfans.monoid import gp
 from toricfans.stackyfan import (
     ChartData,
@@ -21,6 +21,8 @@ from toricfans.stackyfan import (
     is_smooth,
     validate_fan,
 )
+
+from test_diagram import P1XP1_RAYS, P2_RAYS, chart_diagram
 
 QUADRANT_FAN = Fan(2, ((0, 1), (1, 0)), ((0, 1),))
 A1_FAN = Fan(2, ((1, 0), (1, 2)), ((0, 1),))
@@ -115,9 +117,14 @@ def test_fan_construction_refuses_non_int_entries(rays, cones):
 
 def test_stacky_fan_requires_finite_cokernel():
     with pytest.raises(InfiniteCokernel):
-        StackyFan(QUADRANT_FAN, IntMatrix.from_rows([(1, 0), (0, 0)], cols=2), 2)
-    sf = StackyFan(QUADRANT_FAN, IntMatrix.from_rows([(1, 1)], cols=2), 1)
+        StackyFan(QUADRANT_FAN, IntMatrix.from_rows([(1, 0), (0, 0)], cols=2))
+    sf = StackyFan(QUADRANT_FAN, IntMatrix.from_rows([(1, 1)], cols=2))
     assert sf.beta.rows == 1
+
+
+def test_stacky_fan_refuses_a_beta_of_the_wrong_width():
+    with pytest.raises(ValueError, match="beta shape does not match"):
+        StackyFan(QUADRANT_FAN, IntMatrix.identity(3))
 
 
 def test_glue_doubled_line_pinned():
@@ -198,16 +205,38 @@ def test_glue_betas_factor_through_embeddings():
         assert sf.beta @ colim.embeddings[i] == charts.betas[i]
 
 
+@pytest.mark.parametrize("rays, torus_rank", [(P2_RAYS, 1), (P1XP1_RAYS, 2)], ids=["P2", "P1xP1"])
+def test_glued_charts_of_a_complete_fan_are_its_canonical_cover(rays, torus_rank):
+    # Cox's construction: one lattice basis vector per ray of the fan, sent to it by beta
+    d = chart_diagram(rays)
+    sf = glue(ChartData(d, {i: gp(obj) for i, obj in d.objects.items()}, 2))
+    assert validate_fan(sf.fan) == ()
+    assert is_smooth(sf)
+    assert group_description(sf) == CokernelInvariants(torus_rank, ())
+
+    n = len(rays)
+    cover = canonical_cover(Fan(2, rays, tuple((i, (i + 1) % n) for i in range(n))))
+    # the glued rays are a basis of the lattice, so sending each to the cover's
+    # basis vector of the ray beta takes it to is a lattice isomorphism, under
+    # which beta is the cover's beta and the maximal cones are the cover's
+    assert len(sf.fan.rays) == n
+    assert invariant_factors(IntMatrix.from_cols(sf.fan.rays)) == (1,) * n
+    index = [rays.index(sf.beta.apply(r)) for r in sf.fan.rays]
+    assert sorted(index) == list(range(n))
+    glued_cones = {frozenset(index[k] for k in ixs) for ixs in sf.fan.maximal_cones}
+    assert glued_cones == {frozenset(ixs) for ixs in cover.fan.maximal_cones}
+
+
 def test_smoothness_of_a1_cone():
-    sf = StackyFan(A1_FAN, IntMatrix.identity(2), 2)
+    sf = StackyFan(A1_FAN, IntMatrix.identity(2))
     assert not is_smooth(sf)
-    assert is_smooth(StackyFan(QUADRANT_FAN, IntMatrix.identity(2), 2))
+    assert is_smooth(StackyFan(QUADRANT_FAN, IntMatrix.identity(2)))
 
 
 def test_group_description_pinned():
-    ident = StackyFan(QUADRANT_FAN, IntMatrix.identity(2), 2)
+    ident = StackyFan(QUADRANT_FAN, IntMatrix.identity(2))
     assert group_description(ident) == CokernelInvariants(0, ())
-    mu2 = StackyFan(Fan(1, ((1,),), ((0,),)), IntMatrix.from_rows([(2,)], cols=1), 1)
+    mu2 = StackyFan(Fan(1, ((1,),), ((0,),)), IntMatrix.from_rows([(2,)], cols=1))
     assert group_description(mu2) == CokernelInvariants(0, (2,))
 
 
