@@ -54,10 +54,6 @@ def _structured(violations, default: str) -> list[dict]:
     return out
 
 
-def _report(payload: dict) -> Document:
-    return Document("report", payload)
-
-
 def _reports_block(sf: StackyFan) -> dict:
     g = group_description(sf)
     return {
@@ -84,8 +80,8 @@ def cmd_validate(doc: Document) -> tuple[Document, int]:
     else:
         raise DocumentError(f"validate does not accept kind {doc.kind!r}")
     if violations:
-        return _report({"ok": False, "violations": violations}), 1
-    return _report({"ok": True}), 0
+        return Document("report", {"ok": False, "violations": violations}), 1
+    return Document("report", {"ok": True}), 0
 
 
 def cmd_colimit(doc: Document) -> tuple[Document, int]:
@@ -159,7 +155,7 @@ def cmd_check(doc: Document, which: str) -> tuple[Document, int]:
         raise DocumentError(f"check expects a fan or stackyfan document, got {doc.kind!r}")
     violations = _structured(validate_fan(sf.fan), "fan")
     if violations:
-        return _report({"ok": False, "violations": violations}), 1
+        return Document("report", {"ok": False, "violations": violations}), 1
     if which == "canonical":
         cover = canonical_cover(sf.fan)
         return Document("stackyfan", documents.encode_stackyfan(cover, _reports_block(cover))), 0
@@ -170,7 +166,7 @@ def cmd_check(doc: Document, which: str) -> tuple[Document, int]:
     else:
         g = group_description(sf)
         result = {"torus_rank": g.free_rank, "torsion": list(g.torsion)}
-    return _report({"ok": True, "which": which, "result": result}), 0
+    return Document("report", {"ok": True, "which": which, "result": result}), 0
 
 
 def _error_report(exc: Exception) -> Document:
@@ -182,7 +178,7 @@ def _error_report(exc: Exception) -> Document:
         payload["detail"] = str(exc)
     else:
         payload["detail"] = str(exc)
-    return _report(payload)
+    return Document("report", payload)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,11 +10,12 @@ decided on the normals' zero sets alone.  Each facet keeps the generators
 lying on it as an int bitmask, and the extreme rays and the faces are read
 off that incidence.  Each set of generators is analysed once into one
 record behind one bounded cache, and the public functions only read records
-(a Cone's is that of its rays): span, ray coordinates in it, facets,
-extreme rays, dual and faces.  The record keeps the faces as a set of
-bitmasks over the rays (the facets' closure under intersection), so
-is_face is a lookup and face_join an AND of facets; subcone reads a cone
-generated by some of the rays off them with no analysis at all.
+(a Cone's is that of its rays): gp (the saturated span basis), ray
+coordinates in it, facets, extreme rays, dual and faces.  The record keeps
+the faces as a set of bitmasks over the rays (the facets' closure under
+intersection), so is_face is a lookup and face_join an AND of facets;
+subcone reads a cone generated by some of the rays off them with no
+analysis at all.
 The dual of a cone spanning a proper subspace contains the annihilator of
 the span as lines and comes back as a NonPointedCone.
 """
@@ -391,20 +392,21 @@ def supporting_functional(c: Cone, f: Cone) -> Functional:
     return Functional(chi)
 
 
-def span_sublattice(c: Cone) -> IntMatrix:
-    """Saturated basis (as columns) of the lattice points in the span of c."""
+def gp(c: Cone) -> IntMatrix:
+    """Saturated basis (as columns) of the lattice points in the span of c:
+    the group completion of c's monoid."""
     return _of(c).basis
 
 
 def ray_coordinates(c: Cone) -> tuple[tuple[int, ...], ...]:
-    """The rays of c, in order, in the coordinates of span_sublattice(c)."""
+    """The rays of c, in order, in the coordinates of gp(c)."""
     return _of(c).coords
 
 
 def span_coordinates(c: Cone, target: IntMatrix) -> IntMatrix:
-    """The columns of target in the coordinates of span_sublattice(c), solved
-    against the basis the record reduced once; raises NotInLattice when
-    one is not in that lattice."""
+    """The columns of target in the coordinates of gp(c), solved against
+    the basis the record reduced once; raises NotInLattice when one is not
+    in that lattice."""
     return _of(c).reduced.coordinates(target)
 
 

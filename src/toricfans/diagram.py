@@ -45,6 +45,7 @@ from .cone import (
     cone_from_rays,
     face_join,
     faces,
+    gp,
     is_face,
     ray_coordinates,
     span_coordinates,
@@ -57,14 +58,13 @@ from .intlin import (
     NotInLattice,
     int_vector,
     kernel_basis,
-    lattice_coordinates,
     rank,
+    reduce_basis,
 )
 from .monoid import (
     FaceMorphism,
     NegativeOnFace,
     extend_functional,
-    gp,
     verify_face_morphism,
 )
 
@@ -241,7 +241,7 @@ class DiagramAnalysis:
             [col for m in ms for col in c.embeddings[m].columns()], cols=c.cone.ambient_rank
         )
         target = IntMatrix.from_rows([col for m in ms for col in restrictions[m].columns()], cols=rows)
-        return lattice_coordinates(basis, target).transpose()
+        return reduce_basis(basis).coordinates(target).transpose()
 
     @cached_property
     def object_images(self) -> Mapping[str, Cone]:
@@ -476,7 +476,6 @@ def extend_diagram_functional(
         raise ValueError(f"unknown mode {mode!r}")
     d = sub.parent
     analysis = d.analysis
-    analysis.require_tight()
     closed, witness = is_join_closed(sub)
     if not closed:
         raise NotJoinClosed(witness)

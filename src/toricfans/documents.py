@@ -34,11 +34,10 @@ from importlib import resources
 from numbers import Number
 from typing import Callable
 
-from .cone import Cone, cone_from_rays
+from .cone import Cone, cone_from_rays, gp
 from .diagram import ColimitResult, DiagramMorphism, TightDiagram, verify_face_embeddings
 from .errors import InternalError
 from .intlin import IntMatrix
-from .monoid import gp
 from .stackyfan import ChartData, Fan, StackyFan
 
 FORMAT_VERSION = "1"

@@ -15,8 +15,7 @@ pivot rule, and the transforms ride along on request:
 - reduce_basis builds the echelon transform u, u @ basis == [T; 0], once
   per basis of independent columns; ReducedBasis.coordinates solves through
   T as often as asked, and ReducedBasis.lift lifts functionals off a
-  saturated basis; lattice_coordinates is reduce_basis and coordinates in
-  one call;
+  saturated basis;
 - complement_summand and saturate build its inverse only.
 
 from_rows checks every entry and the shape of what callers hand in, and
@@ -470,24 +469,12 @@ class ReducedBasis:
 
 
 def reduce_basis(basis: IntMatrix) -> ReducedBasis:
-    """Row reduce basis once for lattice_coordinates; raises DependentColumns
-    unless its columns are independent."""
+    """Row reduce basis once, for ReducedBasis.coordinates and lift; raises
+    DependentColumns unless its columns are independent."""
     u, ech, k = _row_echelon_transform(basis, False)
     if k != basis.cols:
         raise DependentColumns("columns are linearly dependent")
     return ReducedBasis(u, ech)
-
-
-def lattice_coordinates(basis: IntMatrix, target: IntMatrix) -> IntMatrix:
-    """Solve basis @ X == target exactly over Z.
-
-    basis must have independent columns; raises NotInLattice when some target
-    column is not an integer combination of the basis columns.  The same as
-    reduce_basis(basis).coordinates(target).
-    """
-    if basis.rows != target.rows:
-        raise ValueError("row count mismatch")
-    return reduce_basis(basis).coordinates(target)
 
 
 def primitivize(v: Sequence[int]) -> tuple[int, ...]:

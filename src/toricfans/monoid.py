@@ -1,7 +1,8 @@
 """Toric monoids, face inclusions between them, and functional extension.
 
 A toric monoid is the monoid of lattice points of a pointed cone, so a
-Cone stands for it here: its ambient rank is the monoid's lattice rank.
+Cone stands for it here: its ambient rank is the monoid's lattice rank,
+and its group completion is cone.gp.
 Morphisms are lattice maps carrying the source cone isomorphically onto a
 face of the target cone, with the group completion landing as a saturated
 sublattice.
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 from .cone import (
     Cone,
     Functional,
+    gp,
     is_face,
-    span_sublattice,
     subcone,
     supporting_functional,
 )
@@ -45,12 +46,6 @@ class FaceMorphism:
     def __post_init__(self):
         if self.map.rows != self.target.ambient_rank or self.map.cols != self.source.ambient_rank:
             raise ValueError("morphism matrix shape does not match the lattices")
-
-
-def gp(c: Cone) -> IntMatrix:
-    """Saturated basis (columns) of the group completion of c's monoid:
-    lattice points of the span of the cone."""
-    return span_sublattice(c)
 
 
 def image_cone(f: FaceMorphism) -> Cone:

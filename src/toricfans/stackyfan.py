@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cone import NotPointed, cone_from_rays, intersection, is_face
+from .cone import NotPointed, cone_from_rays, gp, intersection, is_face
 from .diagram import TightDiagram
 from .errors import DomainError
 from .intlin import (
@@ -25,7 +25,6 @@ from .intlin import (
     primitivize,
     rank,
 )
-from .monoid import gp
 
 
 class InfiniteCokernel(DomainError):

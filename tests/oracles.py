@@ -26,8 +26,8 @@ from toricfans.intlin import (
     NotInLattice,
     complement_summand,
     invariant_factors,
-    lattice_coordinates,
     rank,
+    reduce_basis,
 )
 from toricfans.monoid import gp, image_cone
 
@@ -305,7 +305,7 @@ def lift_by_complement(basis, values):
     == values followed by zeros, the square being unimodular."""
     square = basis.hstack(complement_summand(basis))
     rhs = IntMatrix.from_cols([tuple(values) + (0,) * (basis.rows - basis.cols)], rows=basis.rows)
-    return lattice_coordinates(square.transpose(), rhs).col(0)
+    return reduce_basis(square.transpose()).coordinates(rhs).col(0)
 
 
 def coordinates_by_full_check(reduced, target):

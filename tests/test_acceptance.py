@@ -39,7 +39,7 @@ from toricfans.intlin import (
     IntMatrix,
     complement_summand,
     kernel_basis,
-    lattice_coordinates,
+    reduce_basis,
     saturate,
     smith_normal_form,
 )
@@ -82,7 +82,7 @@ def image_cone(d: TightDiagram, colim: ColimitResult, i: str):
     emb = colim.embeddings[i]
     rays = []
     for r in obj.rays:
-        coords = lattice_coordinates(span, IntMatrix.from_cols([r], rows=len(r)))
+        coords = reduce_basis(span).coordinates(IntMatrix.from_cols([r], rows=len(r)))
         rays.append(emb.apply(coords.col(0)))
     return cone_from_rays(colim.cone.ambient_rank, rays)
 

@@ -345,6 +345,21 @@ def test_check_rejects_invalid_fan(tmp_path, capsys):
     assert report["ok"] is False and report["violations"][0]["condition"] == "fan"
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["check", "--which", "smooth"]])
+def test_fan_listing_a_ray_twice_is_one_violation(argv, tmp_path, capsys):
+    doc = write_doc(
+        tmp_path / "f.json",
+        "fan",
+        {"lattice_rank": 1, "rays": [[1], [1]], "maximal_cones": [[0, 1]]},
+    )
+    code, out, _ = invoke([*argv, "--input", doc], capsys)
+    assert code == 1
+    assert payload(out) == {
+        "ok": False,
+        "violations": [{"condition": "fan", "detail": "maximal cone 0 repeats a ray"}],
+    }
+
+
 def test_truncated_json_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(Path(QUADRANT_DIAGRAM).read_text("utf-8")[:40], "utf-8")
@@ -491,6 +506,8 @@ _WRONG_SHAPE = {
     "morphisms": [{"from": "a", "to": "b", "matrix": [[1, 0]]}],
 }
 
+_WRONG_WIDTH_BETA = _doubled_line_with(betas={**_doubled_line_with()["betas"], "a:f_0": [[1, 0]]})
+
 
 @pytest.mark.parametrize(
     "argv, kind, body, message",
@@ -508,6 +525,8 @@ _WRONG_SHAPE = {
         (["glue"], "fan", _fan_with(), "glue expects a charts document, got 'fan'"),
         (["check", "--which", "smooth"], "diagram", _WRONG_SHAPE,
          "check expects a fan or stackyfan document, got 'diagram'"),
+        (["glue"], "charts", _WRONG_WIDTH_BETA, "beta for object 'a:f_0' has the wrong shape"),
+        (["validate"], "charts", _WRONG_WIDTH_BETA, "beta for object 'a:f_0' has the wrong shape"),
     ],
 )
 def test_inconsistent_documents_are_usage_errors(argv, kind, body, message, tmp_path, capsys):

@@ -18,14 +18,14 @@ from toricfans.cone import (
     dual_cone,
     face_join,
     faces,
+    gp,
     intersection,
     is_face,
     span_coordinates,
-    span_sublattice,
     subcone,
     supporting_functional,
 )
-from toricfans.intlin import IntMatrix, NotInLattice, lattice_coordinates
+from toricfans.intlin import IntMatrix, NotInLattice, reduce_basis
 
 from oracles import (
     caratheodory_member,
@@ -194,7 +194,7 @@ def test_face_join():
 def test_span_coordinates_match_lattice_coordinates():
     c = cone_from_rays(3, [(1, 0, 1), (0, 1, 1)])
     target = IntMatrix.from_cols([(2, 3, 5), (1, -1, 0)], rows=3)
-    assert span_coordinates(c, target) == lattice_coordinates(span_sublattice(c), target)
+    assert span_coordinates(c, target) == reduce_basis(gp(c)).coordinates(target)
     with pytest.raises(NotInLattice):
         span_coordinates(c, IntMatrix.from_cols([(1, 0, 0)], rows=3))
 
@@ -224,9 +224,9 @@ def test_supporting_functional_not_a_face():
 
 
 def test_span_sublattice():
-    b = span_sublattice(cone_from_rays(2, [(1, 0)]))
+    b = gp(cone_from_rays(2, [(1, 0)]))
     assert b.entries == ((1,), (0,))
-    full = span_sublattice(WEDGE)
+    full = gp(WEDGE)
     assert (full.rows, full.cols) == (2, 2)
 
 
@@ -245,7 +245,7 @@ def test_each_generator_set_is_analysed_once(generators, analyses):
     fs = faces(c)
     dual_cone(c)
     assert contains(c, (1, 1))
-    span_sublattice(c)
+    gp(c)
     supporting_functional(c, fs[1])
     assert cone_module._analyse.cache_info().misses == analyses
 
@@ -335,7 +335,7 @@ def test_faces_are_coherent(vecs):
 @given(vectors)
 def test_double_dual_is_identity_for_full_dimensional(vecs):
     c = _pointed(vecs)
-    assume(c is not None and span_sublattice(c).cols == 3)
+    assume(c is not None and gp(c).cols == 3)
     d = dual_cone(c)
     assert isinstance(d, Cone)
     dd = dual_cone(d)

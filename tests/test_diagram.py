@@ -28,7 +28,7 @@ from toricfans.diagram import (
     verify_face_embeddings,
 )
 from toricfans.errors import InternalError
-from toricfans.intlin import IntMatrix, invariant_factors, lattice_coordinates
+from toricfans.intlin import IntMatrix, invariant_factors, reduce_basis
 from toricfans.monoid import gp
 
 from oracles import cover_pairs, induced_subdiagram
@@ -68,7 +68,7 @@ def chart_diagram(rays) -> TightDiagram:
 def _embeddings_commute(d: TightDiagram, c: ColimitResult) -> bool:
     for e in d.morphisms:
         src, tgt = d.objects[e.source_id], d.objects[e.target_id]
-        step = lattice_coordinates(gp(tgt), e.matrix @ gp(src))
+        step = reduce_basis(gp(tgt)).coordinates(e.matrix @ gp(src))
         if c.embeddings[e.target_id] @ step != c.embeddings[e.source_id]:
             return False
     return True
@@ -420,7 +420,7 @@ def _check_extension(sub: Subdiagram, chi, mode: str, phi: Functional) -> None:
     for i, obj in d.objects.items():
         if i in sub.member_ids:
             assert row @ c.embeddings[i] == IntMatrix(1, obj.ambient_rank, (tuple(chi[i]),)) @ gp(obj)
-        coords = [lattice_coordinates(gp(obj), IntMatrix.from_cols([r], rows=len(r))).col(0) for r in obj.rays]
+        coords = [reduce_basis(gp(obj)).coordinates(IntMatrix.from_cols([r], rows=len(r))).col(0) for r in obj.rays]
         images[i] = {c.embeddings[i].apply(x) for x in coords}
     if mode == "nonneg_positive_away":
         member_rays = set().union(*(images[i] for i in sub.member_ids))

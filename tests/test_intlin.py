@@ -15,7 +15,6 @@ from toricfans.intlin import (
     complement_summand,
     invariant_factors,
     kernel_basis,
-    lattice_coordinates,
     primitivize,
     rank,
     reduce_basis,
@@ -142,12 +141,12 @@ def test_complement_of_empty_basis():
 def test_lattice_coordinates_roundtrip():
     b = IntMatrix.from_cols([(1, 0, 2), (0, 3, 1)], rows=3)
     t = IntMatrix.from_cols([(2, 3, 5)], rows=3)
-    x = lattice_coordinates(b, t)
+    x = reduce_basis(b).coordinates(t)
     assert b @ x == t
     with pytest.raises(NotInLattice):
-        lattice_coordinates(b, IntMatrix.from_cols([(0, 1, 0)], rows=3))
+        reduce_basis(b).coordinates(IntMatrix.from_cols([(0, 1, 0)], rows=3))
     with pytest.raises(NotInLattice):
-        lattice_coordinates(b, IntMatrix.from_cols([(1, 1, 1)], rows=3))
+        reduce_basis(b).coordinates(IntMatrix.from_cols([(1, 1, 1)], rows=3))
 
 
 def test_primitivize():
@@ -221,7 +220,7 @@ def test_saturate_and_complement_properties(a):
     if a.cols:
         assert fraction_free_rank(both) == a.cols
     # every input column is an integer combination of the saturation basis
-    lattice_coordinates(s, a)
+    reduce_basis(s).coordinates(a)
     c = complement_summand(s)
     assert c.cols == a.rows - a.cols
     square = s.hstack(c)

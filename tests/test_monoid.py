@@ -5,13 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, assume, strategies as st
 
-from toricfans.cone import Cone, Functional, NotPointed, cone_from_rays, faces, span_sublattice
-from toricfans.intlin import IntMatrix, NotSaturated, lattice_coordinates
+from toricfans.cone import Cone, Functional, NotPointed, cone_from_rays, faces, gp
+from toricfans.intlin import IntMatrix, NotSaturated, reduce_basis
 from toricfans.monoid import (
     FaceMorphism,
     NegativeOnFace,
     extend_functional,
-    gp,
     image_cone,
     verify_face_morphism,
 )
@@ -117,9 +116,9 @@ def test_extend_rejects_mismatched_inputs():
 
 def _face_inclusion(c: Cone, f: Cone) -> FaceMorphism:
     """Source living in its own span coordinates, mapped in by the span basis."""
-    basis = span_sublattice(f)
+    basis = gp(f)
     if f.rays:
-        coords = lattice_coordinates(basis, IntMatrix.from_cols(f.rays, rows=c.ambient_rank))
+        coords = reduce_basis(basis).coordinates(IntMatrix.from_cols(f.rays, rows=c.ambient_rank))
         inner = cone_from_rays(basis.cols, coords.columns())
     else:
         inner = cone_from_rays(0, [])

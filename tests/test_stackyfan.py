@@ -86,6 +86,11 @@ def test_validate_rejects_non_extreme_listing():
     assert validate_fan(f) == ("maximal cone 0 lists rays that are not its extreme rays",)
 
 
+def test_validate_rejects_a_repeated_ray():
+    f = Fan(1, ((1,), (1,)), ((0, 1),))
+    assert validate_fan(f) == ("maximal cone 0 repeats a ray",)
+
+
 def test_validate_rejects_nested_maximal_cones():
     f = Fan(2, ((1, 0), (0, 1)), ((0, 1), (0,)))
     assert validate_fan(f) == ("maximal cones 0 and 1: one is a face of the other",)
