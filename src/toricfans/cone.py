@@ -10,12 +10,13 @@ decided on the normals' zero sets alone.  Each facet keeps the generators
 lying on it as an int bitmask, and the extreme rays and the faces are read
 off that incidence.  Each set of generators is analysed once into one
 record behind one bounded cache, and the public functions only read records
-(a Cone's is that of its rays): gp (the saturated span basis), ray
-coordinates in it, facets, extreme rays, dual and faces.  The record keeps
-the faces as a set of bitmasks over the rays (the facets' closure under
-intersection), so is_face is a lookup and face_join an AND of facets;
-subcone reads a cone generated by some of the rays off them with no
-analysis at all.
+(a Cone's is that of its rays, held on the Cone once read): gp (the
+saturated span basis), ray coordinates in it, facets, extreme rays, dual
+and faces.  The record keeps the faces as bitmasks over the rays (the
+facets' closure under intersection), so is_face is a lookup and join_mask
+an AND of facets; ray_indices finds the rays vectors are positive
+multiples of, and subcone reads a cone generated by some rays off them
+with no analysis at all.
 The dual of a cone spanning a proper subspace contains the annihilator of
 the span as lines and comes back as a NonPointedCone.
 """
@@ -23,7 +24,8 @@ the span as lines and comes back as a NonPointedCone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_
 from typing import Sequence
 
 from .errors import DomainError, InternalError
@@ -74,6 +76,10 @@ class Cone:
 
     def is_zero(self) -> bool:
         return not self.rays
+
+    @cached_property
+    def _record(self) -> _Analysis:  # no field: equality and hashing ignore it
+        return _analyse(self.ambient_rank, self.rays)
 
 
 @dataclass(frozen=True)
@@ -269,8 +275,7 @@ def _analyse(ambient_rank: int, vecs: tuple[tuple[int, ...], ...]) -> _Analysis:
 
 
 def _of(c: Cone) -> _Analysis:
-    # a Cone's rays are already clean generators
-    return _analyse(c.ambient_rank, c.rays)
+    return c._record
 
 
 def cone_from_rays(ambient_rank: int, generators: Sequence[Sequence[int]]) -> Cone:
@@ -339,36 +344,51 @@ def is_face(c: Cone, f: Cone) -> bool:
     return a.mask_of(f.rays) in a.face_masks
 
 
+def face_masks(c: Cone) -> frozenset[int]:
+    """The faces of c as bitmasks over c.rays, see faces()."""
+    return _of(c).face_masks
+
+
+def ray_indices(c: Cone, generators: Sequence[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The index in c.rays of the ray each generator (a tuple of ints) is a
+    positive multiple of; None when some generator is no such multiple."""
+    index = _of(c).index
+    found = tuple(index[g] if g in index else index.get(primitivize(g)) for g in generators)
+    return None if None in found else found
+
+
+def index_mask(indices: Sequence[int] | None) -> int | None:
+    """The bitmask with bit k set for each k in indices; None for None."""
+    return None if indices is None else sum(1 << k for k in set(indices))
+
+
 def subcone(c: Cone, generators: Sequence[Sequence[int]]) -> Cone:
     """The same as cone_from_rays(c.ambient_rank, generators), read off the
-    rays of c with no analysis when every generator is a positive multiple of
-    one of them: any set of extreme rays of a pointed cone is the set of
-    extreme rays of the cone it generates.  Any other input goes to
-    cone_from_rays, which raises its errors.
+    rays of c with no analysis when ray_indices finds them all: any set of
+    extreme rays of a pointed cone is the set of extreme rays of the cone it
+    generates.  Any other input goes to cone_from_rays, which raises its
+    errors.
     """
+    mask = index_mask(ray_indices(c, [int_vector(g) for g in generators]))
+    if mask is None:
+        return cone_from_rays(c.ambient_rank, generators)
+    return _of(c).cone_on(mask)
+
+
+def join_mask(c: Cone, mask: int) -> int:
+    """The mask of the smallest face of c holding the rays in mask: the AND
+    of the facets holding them all (every ray when none does)."""
     a = _of(c)
-    mask = 0
-    for g in generators:
-        i = a.index.get(primitivize(int_vector(g)))
-        if i is None:
-            return cone_from_rays(c.ambient_rank, generators)
-        mask |= 1 << i
-    return a.cone_on(mask)
+    return reduce(and_, (z for z in a.incidence if z & mask == mask), (1 << len(a.vecs)) - 1)
 
 
 def face_join(c: Cone, f: Cone, g: Cone) -> Cone:
-    """The smallest face of c containing the faces f and g of c: the
-    intersection of the facets holding both (c itself when none does).
-    Raises NotAFace when f or g is not a face of c."""
+    """The smallest face of c containing the faces f and g of c, see
+    join_mask.  Raises NotAFace when f or g is not a face of c."""
     if not (is_face(c, f) and is_face(c, g)):
         raise NotAFace("joined cones are not faces of the cone")
     a = _of(c)
-    both = a.mask_of(f.rays) | a.mask_of(g.rays)
-    join = (1 << len(a.vecs)) - 1
-    for z in a.incidence:
-        if z & both == both:
-            join &= z
-    return a.cone_on(join)
+    return a.cone_on(join_mask(c, a.mask_of(f.rays) | a.mask_of(g.rays)))
 
 
 def supporting_functional(c: Cone, f: Cone) -> Functional:

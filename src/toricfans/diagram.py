@@ -17,16 +17,17 @@ same way) and keeps the Smith reductions small.
 Every operation reads one DiagramAnalysis, built in a single pass on first
 use and cached on the diagram as ``d.analysis``: the topological order and
 each object's below-set as a bitmask over it, the path composites, the
-maximal ids, the composite image cones and their realizers, the
+maximal ids, the composite images as ray bitmasks and their realizers, the
 violations, and, on first use, the colimit and the objects' image cones in
 it.  A subdiagram's tightness and join closure are read off its parent's
 analysis too.  The cache is never refreshed, so a diagram must not be
 mutated after it is built.  Order questions are bit operations: a set of
 ids has a unique maximal element exactly when its last id in that order
 has all of it below (T4, the colimit's meets, the extension's maximum
-processed face).  Face questions go to the cone records' face bitmasks:
-each composite carries a ray map, source ray -> target ray, and its image
-cone is read off that; a join inside a parent is an AND of its facets.
+processed face).  So are face questions, on the cone records' face masks:
+each composite carries a ray map, source ray -> target ray, composed from
+its edges' FaceMorphism.ray_map, and its image is the mask of the rays it
+hits; a join inside a parent is an AND of facets (cone.join_mask).
 Gluing and extension descend to the colimit through one solve.
 """
 
@@ -43,11 +44,14 @@ from .cone import (
     Functional,
     NotPointed,
     cone_from_rays,
-    face_join,
+    face_masks,
     faces,
     gp,
+    index_mask,
     is_face,
+    join_mask,
     ray_coordinates,
+    ray_indices,
     span_coordinates,
     subcone,
     supporting_functional,
@@ -162,8 +166,8 @@ class DiagramAnalysis:
 
     ``below`` is the one encoding of the order.  On a directed morphism
     cycle only ``objects`` and ``violations`` are filled in; everything else
-    is empty.  ``images`` holds None where a composite degenerates, which
-    only happens when T1 fails.
+    is empty.  ``images`` holds None where a composite's image cone is not
+    made of rays of its target, which only happens when T1 fails.
     ``colimit`` and ``object_images`` are computed on first use, handed
     read-only to every caller, and raise NotTight unless the diagram is
     tight; so does ``descend``, the one way down to the colimit lattice.
@@ -174,8 +178,8 @@ class DiagramAnalysis:
     below: Mapping[str, int]  # y -> mask of every x with a path x -> y, y included
     composites: Mapping[str, Mapping[str, IntMatrix]]  # x -> y -> matrix of the path x -> y
     maximal_ids: tuple[str, ...]  # sorted ids with nothing above them
-    images: Mapping[tuple[str, str], Cone | None]  # (x, y) -> x's cone inside y
-    realizers: Mapping[str, Mapping[Cone | None, list[str]]]  # y -> image in y -> sorted x with it
+    images: Mapping[tuple[str, str], int | None]  # (x, y) -> x's image in y, a mask over y's rays
+    realizers: Mapping[str, Mapping[int | None, list[str]]]  # y -> image mask in y -> sorted x with it
     violations: tuple[str, ...]
 
     def require_tight(self) -> None:
@@ -259,23 +263,21 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
     topological order; agreeing on every one-edge extension is the same as
     agreeing on all paths.  Beside each stored composite goes its ray map,
     source ray index -> target ray index, composed from the edges' maps, or
-    None once some edge sends a ray elsewhere; a composite image is read off
-    its ray map, and only where there is none are the rays' images mapped.
+    None once some edge sends a ray elsewhere; a composite image is the mask
+    of its ray map, and only where there is none are the rays' images mapped.
     A face of an object counts as present (T2) when some object's composite
-    image is that face; the object itself stands for its improper face.
+    image is its mask; the object itself stands for its improper face.
     T4 asks each pair's common below-set for a top element.
     """
-    objects, edges = d.objects, d.edges
+    objects = d.objects
     violations = []
-    for e in edges:
+    succ = {i: [] for i in objects}
+    preds = {i: [] for i in sorted(objects)}  # lists, not sets: the order ignores hash seeds
+    for e in d.edges:
         f = FaceMorphism(objects[e.source_id], objects[e.target_id], e.matrix)
         for problem in verify_face_morphism(f):
             violations.append(f"T1: morphism {e.source_id!r}->{e.target_id!r}: {problem}")
-
-    succ = {i: [] for i in objects}
-    preds = {i: [] for i in sorted(objects)}  # lists, not sets: the order ignores hash seeds
-    for e in edges:
-        succ[e.source_id].append(e)
+        succ[e.source_id].append((e.target_id, f))
         preds[e.target_id].append(e.source_id)
     try:
         order = list(TopologicalSorter(preds).static_order())
@@ -283,22 +285,20 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
         violations.append("T3: the diagram contains a directed morphism cycle")
         return DiagramAnalysis(objects, (), {}, {}, (), {}, {}, tuple(violations))
 
-    ray_index = {i: {r: k for k, r in enumerate(obj.rays)} for i, obj in objects.items()}
     comp = {i: {} for i in objects}
     maps = {i: {} for i in objects}  # x -> y -> ray map of comp[x][y], or None
     conflicts = set()
     for x in reversed(order):
         comp[x][x] = IntMatrix.identity(objects[x].ambient_rank)
         maps[x][x] = tuple(range(len(objects[x].rays)))
-        for e in succ[x]:
-            step = tuple(ray_index[e.target_id].get(e.matrix.apply(r)) for r in objects[x].rays)
-            step = None if None in step else step
-            for tgt, tail in sorted(comp[e.target_id].items()):
-                candidate = tail @ e.matrix
+        for y, f in succ[x]:
+            step = f.ray_map
+            for tgt, tail in sorted(comp[y].items()):
+                candidate = tail @ f.map
                 known = comp[x].get(tgt)
                 if known is None:
                     comp[x][tgt] = candidate
-                    tail_map = maps[e.target_id][tgt]
+                    tail_map = maps[y][tgt]
                     maps[x][tgt] = None if step is None or tail_map is None else tuple(tail_map[k] for k in step)
                 elif known != candidate:
                     conflicts.add(f"T3: parallel composites {x!r}->{tgt!r} disagree")
@@ -311,22 +311,22 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
     for x in sorted(objects):
         for p, matrix in comp[x].items():
             below[p] |= 1 << position[x]
-            target = objects[p]
-            ray_map = maps[x][p]
-            if ray_map is not None:
-                image = Cone(target.ambient_rank, tuple(target.rays[k] for k in sorted(set(ray_map))))
-            else:
+            image = index_mask(maps[x][p])
+            if image is None:
                 try:
-                    image = subcone(target, [matrix.apply(r) for r in objects[x].rays])
+                    spanned = subcone(objects[p], [matrix.apply(r) for r in objects[x].rays])
+                    image = index_mask(ray_indices(objects[p], spanned.rays))
                 except NotPointed:
-                    image = None
+                    pass  # the images span a line: no image cone at all
             images[x, p] = image
             realizers[p].setdefault(image, []).append(x)
 
     ids = sorted(objects)
     for i in ids:
+        if face_masks(objects[i]) <= realizers[i].keys():
+            continue
         for f in faces(objects[i]):
-            if f not in realizers[i]:
+            if index_mask(ray_indices(objects[i], f.rays)) not in realizers[i]:
                 violations.append(f"T2: object {i!r} is missing its face with rays {f.rays}")
 
     for a_pos, a in enumerate(ids):
@@ -444,8 +444,7 @@ def is_join_closed(sub: Subdiagram):
             if below[b] & bit[a] or below[a] & bit[b]:
                 continue  # the join is the upper one's image, which it realizes
             for p in sorted(comp[a].keys() & comp[b].keys()):
-                join_face = face_join(d.objects[p], images[a, p], images[b, p])
-                holders = realizers[p][join_face]
+                holders = realizers[p][join_mask(d.objects[p], images[a, p] | images[b, p])]
                 if not any(x in sub.member_ids for x in holders):
                     return False, (a, b, holders[0])
     return True, None

@@ -333,6 +333,8 @@ def decode_matrix(raw, cols_hint: int | None = None) -> IntMatrix:
             raise DocumentError("matrix rows have unequal lengths")
     else:
         cols = 0 if cols_hint is None else cols_hint
+    if len(entries) == cols and entries == IntMatrix.identity(cols).entries:
+        return IntMatrix.identity(cols)  # the shared instance, known by reference
     return IntMatrix(len(entries), cols, entries)
 
 

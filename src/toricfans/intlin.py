@@ -22,12 +22,15 @@ from_rows checks every entry and the shape of what callers hand in, and
 from_cols is from_rows transposed; the matrices built here from results
 already computed use the constructor, which trusts its entries.
 
-Products with an identity factor return the other factor unchanged.
+IntMatrix.identity hands out one instance per size, known by reference
+(any other identity by its entries): products with an identity return the
+other factor, and an identity needs no Smith reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -59,8 +62,7 @@ def int_vector(v: Iterable) -> tuple[int, ...]:
 
 
 def _is_identity(a: "IntMatrix") -> bool:
-    n = a.cols
-    return a.rows == n and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(a.entries))
+    return a.rows == a.cols and (a is (i := IntMatrix.identity(a.cols)) or a.entries == i.entries)
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,7 @@ class IntMatrix:
         return cls.from_rows(cols, cols=rows).transpose()
 
     @classmethod
+    @lru_cache(maxsize=64)
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -315,6 +318,8 @@ def _diagonal(a: IntMatrix, w) -> tuple[int, ...]:
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith form, in divisibility order."""
+    if _is_identity(a):
+        return (1,) * a.rows
     return _diagonal(a, _smith(a, False, False)[1])
 
 

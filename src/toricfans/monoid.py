@@ -5,7 +5,10 @@ Cone stands for it here: its ambient rank is the monoid's lattice rank,
 and its group completion is cone.gp.
 Morphisms are lattice maps carrying the source cone isomorphically onto a
 face of the target cone, with the group completion landing as a saturated
-sublattice.
+sublattice.  T1 lemma: an injective map sends extreme rays onto the image
+cone's extreme rays, and a face's extreme rays are rays of the target, so
+the image of an injective map is a face exactly when it has a ray map
+(FaceMorphism.ray_map) whose rays make up one of the target's face masks.
 extend_functional pushes a functional on a face out to the whole monoid,
 optionally making it strictly positive away from that face.
 """
@@ -13,12 +16,15 @@ optionally making it strictly positive away from that face.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cone import (
     Cone,
     Functional,
+    face_masks,
     gp,
-    is_face,
+    index_mask,
+    ray_indices,
     subcone,
     supporting_functional,
 )
@@ -47,6 +53,12 @@ class FaceMorphism:
         if self.map.rows != self.target.ambient_rank or self.map.cols != self.source.ambient_rank:
             raise ValueError("morphism matrix shape does not match the lattices")
 
+    @cached_property
+    def ray_map(self) -> tuple[int, ...] | None:
+        """For each source ray, the index in target.rays of the ray its image
+        is a positive multiple of; None when some image is no such multiple."""
+        return ray_indices(self.target, [self.map.apply(r) for r in self.source.rays])
+
 
 def image_cone(f: FaceMorphism) -> Cone:
     """The cone generated by the images of the source's extreme rays."""
@@ -60,20 +72,21 @@ def verify_face_morphism(f: FaceMorphism) -> tuple[str, ...]:
     "image not a face", "not saturated", "face not proper".  One Smith
     reduction of the map decides injectivity, and when all its invariant
     factors are 1 the map splits, so it keeps the saturated gp saturated;
-    only otherwise is the image of gp reduced.
+    only otherwise is the image of gp reduced.  The image is then read off
+    the ray map, by the module's T1 lemma: no ray map means no face.
     """
     factors = invariant_factors(f.map)
     if len(factors) != f.map.cols:
         return ("not injective",)
     violations = []
-    img = image_cone(f)
-    if not is_face(f.target, img):
+    mask = index_mask(f.ray_map)
+    if mask not in face_masks(f.target):
         violations.append("image not a face")
     if any(x != 1 for x in factors):
         s = f.map @ gp(f.source)
         if invariant_factors(s) != tuple([1] * s.cols):
             violations.append("not saturated")
-    if not violations and img == f.target:
+    if not violations and mask == (1 << len(f.target.rays)) - 1:
         violations.append("face not proper")
     return tuple(violations)
 

@@ -165,10 +165,12 @@ def test_is_face():
 
 
 def test_subcone_reads_rays_off_the_cone():
+    # a fresh instance, so its record is not already held from other tests
+    octant = Cone(3, OCTANT.rays)
     cone_module._analyse.cache_clear()
-    faces(OCTANT)
-    assert subcone(OCTANT, [(0, 0, 2), (1, 0, 0), (0, 0, 1)]) == Cone(3, ((0, 0, 1), (1, 0, 0)))
-    assert subcone(OCTANT, []) == Cone(3, ())
+    faces(octant)
+    assert subcone(octant, [(0, 0, 2), (1, 0, 0), (0, 0, 1)]) == Cone(3, ((0, 0, 1), (1, 0, 0)))
+    assert subcone(octant, []) == Cone(3, ())
     assert cone_module._analyse.cache_info().misses == 1
     # anything else is cone_from_rays, errors included
     assert subcone(OCTANT, [(1, 1, 0), (1, 0, 0)]) == cone_from_rays(3, [(1, 1, 0), (1, 0, 0)])
@@ -228,6 +230,32 @@ def test_span_sublattice():
     assert b.entries == ((1,), (0,))
     full = gp(WEDGE)
     assert (full.rows, full.cols) == (2, 2)
+
+
+def test_a_cone_holds_its_record():
+    # once read, a cone's record lives on the cone, not only in the bounded cache
+    c = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)])
+    basis, fs = gp(c), faces(c)
+    cone_module._analyse.cache_clear()
+    assert gp(c) is basis and faces(c) is fs
+    assert cone_module._analyse.cache_info().misses == 0
+    # the held record is no field: equality and hashing see the rays alone
+    again = Cone(c.ambient_rank, c.rays)
+    assert again == c and hash(again) == hash(c)
+
+
+def test_more_cones_than_the_record_cache_holds_are_each_analysed_once():
+    # the cone over the 7-dimensional cross-polytope has 3^7 + 1 faces, more
+    # than the bounded cache holds records; each face keeps its own
+    d = 7
+    rays = [(1, *(s * (j == i) for j in range(d))) for i in range(d) for s in (1, -1)]
+    fs = faces(cone_from_rays(d + 1, rays))
+    assert len(fs) == 3**d + 1 > cone_module._analyse.cache_info().maxsize
+    cone_module._analyse.cache_clear()
+    for _ in range(2):
+        for f in fs:
+            gp(f)
+    assert cone_module._analyse.cache_info().misses == len(fs)
 
 
 @pytest.mark.parametrize(

@@ -475,6 +475,38 @@ def test_composite_whose_image_spans_a_line_has_no_image_cone():
     assert d.analysis.images["q", "z"] is None
 
 
+def test_degenerate_composite_still_realizes_a_face():
+    # q -> p kills q's ray (0, 1), so the composite has no ray map, yet the
+    # cone of its rays' images is p's ray (1, 0), which nothing else realizes
+    zero = IntMatrix.zeros(2, 0)
+    d = TightDiagram(
+        {"0": cone_from_rays(0, []), "p": QUADRANT, "q": QUADRANT},
+        [DiagramMorphism("0", "p", zero), DiagramMorphism("0", "q", zero),
+         DiagramMorphism("q", "p", IntMatrix.from_rows([(1, 0), (0, 0)]))],
+    )
+    assert validate_tight(d) == (
+        "T1: morphism 'q'->'p': not injective",
+        "T2: object 'p' is missing its face with rays ((0, 1),)",
+        "T2: object 'q' is missing its face with rays ((0, 1),)",
+        "T2: object 'q' is missing its face with rays ((1, 0),)",
+    )
+    assert _image_cone(d, "q", "p") == cone_from_rays(2, [(1, 0)])
+
+
+def test_missing_faces_are_reported_in_face_order():
+    # the octant's face diagram without its ray (1, 0, 0) and its face on
+    # (0, 0, 1), (0, 1, 0): by ray count the ray comes first, by mask second
+    full = face_diagram(OCTANT)
+    kept = {i: c for i, c in full.objects.items() if i not in ("f_2", "f_0_1")}
+    d = TightDiagram(kept, [e for e in full.morphisms if e.source_id in kept and e.target_id in kept])
+    assert validate_tight(d) == (
+        "T2: object 'f_0_1_2' is missing its face with rays ((1, 0, 0),)",
+        "T2: object 'f_0_1_2' is missing its face with rays ((0, 0, 1), (0, 1, 0))",
+        "T2: object 'f_0_2' is missing its face with rays ((1, 0, 0),)",
+        "T2: object 'f_1_2' is missing its face with rays ((1, 0, 0),)",
+    )
+
+
 def test_colimit_is_deterministic():
     d = coproduct(face_diagram(QUADRANT), NAT_LINE)
     first, second = colimit(d), colimit(d)
@@ -563,35 +595,45 @@ def test_t4_and_meets_match_a_brute_force_count(seed):
     assert [v for v in analysis.violations if v.startswith("T4:")] == t4
 
 
+def _image_cone(d: TightDiagram, x: str, p: str):
+    """The analysis's image of x in p, a mask over p's rays, as a Cone (None
+    stays None)."""
+    mask = d.analysis.images[x, p]
+    return None if mask is None else cone_module._of(d.objects[p]).cone_on(mask)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds)
 def test_composite_images_match_cone_from_rays(seed):
+    # an image mask reads as the cone of the mapped rays; no mask means that
+    # cone degenerates or is not made of rays of the target
     rng = random.Random(seed)
     d = _thinned(rng, random_tight_diagram(rng), scramble=True)
-    analysis = d.analysis
-    for x, targets in analysis.composites.items():
+    for x, targets in d.analysis.composites.items():
         for p, m in targets.items():
             try:
                 want = cone_from_rays(m.rows, [m.apply(r) for r in d.objects[x].rays])
             except NotPointed:
                 want = None
-            assert analysis.images[x, p] == want
+            if want is not None and not set(want.rays) <= set(d.objects[p].rays):
+                want = None
+            assert _image_cone(d, x, p) == want
 
 
 def _join_closed_by_face_scan(sub: Subdiagram):
     """is_join_closed as a scan of each parent's faces for the smallest one
     holding both images."""
-    analysis = sub.parent.analysis
-    comp, images = analysis.composites, analysis.images
-    below = below_sets(sub.parent)
+    d = sub.parent
+    comp = d.analysis.composites
+    below = below_sets(d)
     members = sorted(sub.member_ids)
     for k, a in enumerate(members):
         for b in members[k:]:
             for p in sorted(comp[a].keys() & comp[b].keys()):
-                joint = set(images[a, p].rays) | set(images[b, p].rays)
-                holding = [f for f in faces(sub.parent.objects[p]) if joint <= set(f.rays)]
+                joint = set(_image_cone(d, a, p).rays) | set(_image_cone(d, b, p).rays)
+                holding = [f for f in faces(d.objects[p]) if joint <= set(f.rays)]
                 join_face = min(holding, key=lambda f: (len(f.rays), f.rays))
-                realizers = sorted(x for x in below[p] if images[x, p] == join_face)
+                realizers = sorted(x for x in below[p] if _image_cone(d, x, p) == join_face)
                 if not any(x in sub.member_ids for x in realizers):
                     return False, (a, b, realizers[0])
     return True, None

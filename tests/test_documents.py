@@ -147,6 +147,17 @@ def test_decode_matrix_zero_rows_uses_hint():
     assert (m.rows, m.cols) == (0, 3)
 
 
+def test_decode_matrix_hands_out_the_shared_identity():
+    assert documents.decode_matrix([[1, 0], [0, 1]]) is IntMatrix.identity(2)
+    assert documents.decode_matrix([["1"]]) is IntMatrix.identity(1)
+    for raw in ([[1, 0], [0, 2]], [[0, 1], [1, 0]], [[1, 0]]):
+        m = documents.decode_matrix(raw)
+        assert m == IntMatrix.from_rows(raw) and m is not IntMatrix.identity(2)
+    # one empty row and no rows stay what they were
+    assert documents.decode_matrix([[]]) == IntMatrix(1, 0, ((),))
+    assert documents.decode_matrix([], cols_hint=2) == IntMatrix(0, 2, ())
+
+
 def test_decode_diagram_rejects_unknown_endpoint():
     payload = documents.encode_diagram(NAT_LINE)
     payload["morphisms"][0]["to"] = "missing"

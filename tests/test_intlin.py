@@ -67,6 +67,22 @@ def test_smith_identity_and_zero():
     assert u == IntMatrix.identity(2) and v == IntMatrix.identity(3)
 
 
+def test_identity_is_one_shared_instance():
+    assert IntMatrix.identity(3) is IntMatrix.identity(3)
+    assert IntMatrix.identity(0) is IntMatrix.identity(0)
+
+
+def test_a_fresh_identity_acts_as_the_shared_one():
+    shared = IntMatrix.identity(3)
+    fresh = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert fresh == shared and fresh is not shared
+    a = M([[2, -1, 5], [0, 3, 4]])
+    assert invariant_factors(fresh) == invariant_factors(shared) == (1, 1, 1)
+    assert a @ fresh == a @ shared == a
+    assert fresh @ a.transpose() == shared @ a.transpose() == a.transpose()
+    assert fresh @ shared == shared
+
+
 def test_smith_empty_shapes():
     for shape in [(0, 0), (0, 3), (3, 0)]:
         a = IntMatrix.zeros(*shape)

@@ -64,6 +64,38 @@ def test_verify_unsaturated_inclusion():
     assert "not saturated" in verify_face_morphism(doubled)
 
 
+# T1 past injectivity reads the image off the ray map, as a mask over the
+# target's rays; each map below reaches one branch of that reading
+
+def test_t1_on_a_doubling_map_finds_only_unsaturation():
+    # 2I sends each ray to twice itself: a ray map onto the improper face,
+    # which is not reported because the map already fails saturation
+    doubling = FaceMorphism(QUAD, QUAD, IntMatrix.from_rows([(2, 0), (0, 2)]))
+    assert doubling.ray_map == (0, 1)
+    assert verify_face_morphism(doubling) == ("not saturated",)
+
+
+def test_t1_without_a_ray_map_finds_no_face():
+    diag = FaceMorphism(NAT, QUAD, IntMatrix.from_cols([(1, 1)]))
+    assert diag.ray_map is None
+    assert verify_face_morphism(diag) == ("image not a face",)
+
+
+def test_t1_with_a_ray_map_off_the_face_masks_finds_no_face():
+    # the quadrant's rays go to opposite rays of a square's cone, which span
+    # no face of it (and the map has index 2 onto its image)
+    square = cone_from_rays(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    across = FaceMorphism(QUAD, square, IntMatrix.from_rows([(-1, 1), (0, 0), (1, 1)]))
+    assert across.ray_map is not None
+    assert verify_face_morphism(across) == ("image not a face", "not saturated")
+
+
+def test_t1_stops_at_a_non_injective_map_with_a_ray_map():
+    fold = FaceMorphism(QUAD, NAT, IntMatrix.from_rows([(1, 1)]))
+    assert fold.ray_map == (0, 0)
+    assert verify_face_morphism(fold) == ("not injective",)
+
+
 def test_verify_zero_monoid_into_quadrant():
     origin = cone_from_rays(0, [])
     into = FaceMorphism(origin, QUAD, IntMatrix(2, 0, ((), ())))
