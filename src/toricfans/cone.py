@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import and_
+from operator import and_, mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError
@@ -96,7 +96,7 @@ class NonPointedCone:
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _clean_generators(ambient_rank, generators):
@@ -359,7 +359,12 @@ def ray_indices(c: Cone, generators: Sequence[tuple[int, ...]]) -> tuple[int, ..
 
 def index_mask(indices: Sequence[int] | None) -> int | None:
     """The bitmask with bit k set for each k in indices; None for None."""
-    return None if indices is None else sum(1 << k for k in set(indices))
+    if indices is None:
+        return None
+    mask = 0
+    for k in indices:
+        mask |= 1 << k
+    return mask
 
 
 def subcone(c: Cone, generators: Sequence[Sequence[int]]) -> Cone:

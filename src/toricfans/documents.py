@@ -7,20 +7,23 @@ so exactness survives JSON readers that coerce numbers to floats; both
 forms are accepted on input.
 
 The JSON Schema of each kind (shipped with the package) is the contract for
-its payload.  On first use it is compiled into one plain Python checker
-that agrees with Draft 2020-12 as jsonschema implements it; a keyword the
-compiler does not know makes compilation fail, so a schema edit can never
-be silently ignored.  Payloads are checked before any computation runs, and
-outputs before they are written.  A rejection is worded here, as jsonschema
-4.26 words its first error, which the tests check; the package does not
-import jsonschema.  The decoders refuse what the schema lets through but is no
-integer: ``2.0`` for a rank or cone index, and a decimal string that is not
-exactly ``-?[0-9]+``.  An integer longer than Python's int digit limit
-(4300 by default) is refused, in a number literal or a string.  A stated
-rank (ambient, lattice or target) above MAX_RANK is refused before any
-analysis.  A monoid is decoded to its cone, the monoid being the cone's
-lattice points; its document states a lattice_rank, which must equal the
-cone's ambient_rank.
+its payload.  On first use it is compiled, as generated Python source, into
+a checker that agrees with Draft 2020-12 as jsonschema implements it; the
+$defs all kinds share are compiled once, and a keyword the compiler does
+not know makes compilation fail, so a schema edit can never be silently
+ignored.  Payloads are checked before any computation runs, and outputs
+before they are written.  A rejection is worded here, as jsonschema 4.26
+words its first error, which the tests check; the package does not import
+jsonschema.  Past the check every vector entry is an int, a float or a
+string, so the decoders take a row of ints whole and refuse the rest: what
+the schema lets through but is no integer (``2.0`` for a rank or cone
+index, a decimal string that is not exactly ``-?[0-9]+``), and an integer
+longer than Python's int digit limit (4300 by default), in a number literal
+or a string.  A stated rank (ambient, lattice or target) above MAX_RANK is
+refused before any analysis.  A monoid is decoded to its cone, the monoid
+being the cone's lattice points; its document states a lattice_rank, which
+must equal the cone's ambient_rank.  dumps writes the text of
+json.dumps(indent=2, sort_keys=True) itself.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from importlib import resources
+from itertools import count
+from json.encoder import encode_basestring_ascii
 from numbers import Number
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cone import Cone, cone_from_rays, gp
 from .diagram import ColimitResult, DiagramMorphism, TightDiagram, verify_face_embeddings
@@ -64,8 +68,7 @@ class DocumentError(ValueError):
     """Input malformation: bad JSON, bad envelope, or a schema mismatch."""
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     kind: str
     payload: object
 
@@ -85,18 +88,16 @@ def schema(kind: str) -> dict:
     return json.loads(text)
 
 
-def _is_integer(x) -> bool:
+_TYPES = {  # each type's test of x, and the keywords constraining only its instances
+    "object": ("isinstance(x, dict)", {"properties", "required", "additionalProperties"}),
+    "array": ("isinstance(x, list)", {"items"}),
+    "string": ("isinstance(x, str)", {"pattern"}),
+    "boolean": ("isinstance(x, bool)", set()),
     # any number with a zero fractional part, so 2.0 counts; a bool never does
-    return not isinstance(x, bool) and (isinstance(x, int) or (isinstance(x, float) and x.is_integer()))
-
-
-_TYPES = {  # each type's class (integer: see _is_integer), and the keywords constraining only its instances
-    "object": (dict, {"properties", "required", "additionalProperties"}),
-    "array": (list, {"items"}),
-    "string": (str, {"pattern"}),
-    "boolean": (bool, set()),
-    "integer": (int, set()),
+    "integer": ("(isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and x.is_integer())",
+                set()),
 }
+_SHARED: dict[str, dict] = {}  # repr of a $defs -> the namespace its checkers are compiled into
 
 
 def compile_schema(root: dict) -> Callable[[object], tuple | None]:
@@ -110,113 +111,158 @@ def compile_schema(root: dict) -> Callable[[object], tuple | None]:
     additionalProperties, the branches that both hold for oneOf), and
     ``schema_message`` words the error.  Only the keywords the packaged
     schemas use are understood: ``type`` (object, array, string, boolean,
-    integer), ``properties``, ``required``, ``additionalProperties``,
-    ``items``, ``minimum``, ``pattern``, ``enum`` (of strings), ``oneOf`` of
-    two branches and a lone local ``$ref`` into the root's ``$defs``.  Each
-    keyword constrains only instances of its own type, as in the draft.
-    Anything else raises InternalError here, not at check time.
+    integer), ``properties``, ``required``, ``additionalProperties`` (a
+    schema only where there are no properties), ``items``, ``minimum``,
+    ``pattern``, ``enum`` (of strings), ``oneOf`` of two branches and a lone
+    local ``$ref`` into the root's ``$defs``.  Each keyword constrains only
+    instances of its own type, as in the draft.  Anything else raises
+    InternalError here, not at check time.
+
+    Each distinct node becomes one Python function of straight-line tests
+    and loops, written as source and compiled once; a def is written on
+    first reference and shared by every root with the same ``$defs``.  A
+    parent tests ``type(v) is int`` before calling a child that admits
+    every int (an intvalue).
     """
     if root.get("$schema", _DRAFT) != _DRAFT:
         raise InternalError(f"schema dialect {root['$schema']!r} is not Draft 2020-12")
     defs = root.get("$defs", {})
-    compiled: dict[str, Callable] = {}
+    ns = _SHARED.setdefault(repr(defs), {"_Number": Number, "_at": _at,
+                                         "_count": count(), "_done": {}})
+    w = _Writer(defs, ns)
+    name = w.node({k: v for k, v in root.items() if k not in ("$schema", "$defs")}) or w.function([])
+    exec(compile("\n".join(w.source), "<schema>", "exec"), ns)
+    ns["_done"].update(w.new)
+    return ns[name]
 
-    def ref(target):
+
+def _at(k, e):  # a child's error, under its key or index k
+    return ((k, *e[0]), *e[1:])
+
+
+class _Writer:
+    """Writes schema nodes as functions of x for one namespace, each distinct
+    node once: new maps a node's repr, or a def's $ref, to the name of its
+    function (None where it admits everything) until the source is compiled."""
+
+    def __init__(self, defs: dict, ns: dict):
+        self.defs, self.ns, self.source, self.new = defs, ns, [], {}
+
+    def const(self, value) -> str:
+        self.ns[name := f"_k{next(self.ns['_count'])}"] = value
+        return name
+
+    def function(self, body: list[str]) -> str:
+        name = f"_f{next(self.ns['_count'])}"
+        self.source += [f"def {name}(x):", *("    " + line for line in body or ["return None"])]
+        return name
+
+    def node(self, s) -> str | None:
+        """The name of the function checking s; None when s admits everything."""
+        if (key := repr(s)) not in self.ns["_done"] and key not in self.new:
+            self.new[key] = self.write(s)
+        return self.ns["_done"].get(key, self.new.get(key))
+
+    def ref(self, target) -> str:
         match = _LOCAL_REF.fullmatch(target) if isinstance(target, str) else None
-        if match is None or match[1] not in defs:
+        if match is None or match[1] not in self.defs:
             raise InternalError(f"unsupported $ref {target!r}")
-        name = match[1]
-        if name not in compiled:
-            compiled[name] = lambda x: compiled[name](x)  # stands in while name compiles
-            compiled[name] = node(defs[name])
-        return compiled[name]
+        if target not in self.ns["_done"] and target not in self.new:
+            self.new[target] = alias = f"_d{next(self.ns['_count'])}"  # named first, for recursion
+            self.source.append(f"{alias} = {self.node(self.defs[match[1]]) or self.function([])}")
+        return self.ns["_done"].get(target, self.new.get(target))
 
-    def node(s) -> Callable:
+    def int_verdict(self, s, seen=frozenset()) -> bool | None:
+        """True when every int passes s, False when none does, None when it
+        depends on the int (s is well formed, having been written)."""
         if isinstance(s, bool):
-            return (lambda x: None) if s else (lambda x: ((), None, x, None))
-        if not isinstance(s, dict):
-            raise InternalError(f"not a schema: {s!r}")
-        unknown = s.keys() - _KEYWORDS
-        if unknown:
-            raise InternalError(f"unsupported schema keywords {sorted(unknown)}")
+            return s
+        if "$ref" in s:
+            name = _LOCAL_REF.fullmatch(s["$ref"])[1]
+            return None if name in seen else self.int_verdict(self.defs[name], seen | {name})
+        ok = {s.get("type", "integer") == "integer", "enum" not in s, "minimum" not in s or None}
+        if "oneOf" in s:
+            a, b = (self.int_verdict(t, seen) for t in s["oneOf"])
+            ok.add(None if None in (a, b) else a != b)
+        return False if False in ok else None if None in ok else True
+
+    def fails(self, s, fn: str, v: str) -> str:
+        """The test that v fails s, compiled to fn, its error bound to e; an
+        int is taken as passing where s admits every int."""
+        skip = f"type({v}) is not int and " if self.int_verdict(s) else ""
+        return f"{skip}(e := {fn}({v})) is not None"
+
+    def write(self, s) -> str | None:
+        if s is True or s == {}:
+            return None
+        if s is False:
+            return self.function(["return ((), None, x, None)"])
+        if not isinstance(s, dict) or s.keys() - _KEYWORDS:
+            raise InternalError(f"unsupported schema keywords {sorted(s.keys() - _KEYWORDS)}"
+                                if isinstance(s, dict) else f"not a schema: {s!r}")
         if "$ref" in s:
             if len(s) > 1:
                 raise InternalError(f"$ref beside other keywords {sorted(s)}")
-            return ref(s["$ref"])
-        if False in s.get("properties", {}).values():  # jsonschema reports it at the parent's path
+            return self.ref(s["$ref"])
+        props, rest = s.get("properties", {}), s.get("additionalProperties", True)
+        if False in props.values():  # jsonschema reports it at the parent's path
             raise InternalError("false schema under properties")
         if "type" in s and (not isinstance(s["type"], str) or s["type"] not in _TYPES):
             raise InternalError(f"unsupported schema type {s['type']!r}")
-        cls, only = _TYPES.get(s.get("type"), (None, set()))
-        own, value = {}, dict(s)  # keyword -> test of the node itself, and its error's value
-        if "type" in s:
-            own["type"] = _is_integer if cls is int else lambda x: isinstance(x, cls)
-        if "enum" in s:
-            if not all(isinstance(v, str) for v in s["enum"]):
-                raise InternalError(f"enum of non-strings {s['enum']!r}")
-            allowed = frozenset(s["enum"])
-            own["enum"] = lambda x: isinstance(x, str) and x in allowed
-        if "minimum" in s:
-            low = s["minimum"]  # jsonschema's own comparison, so NaN passes as it does there
-            own["minimum"] = lambda x: isinstance(x, bool) or not isinstance(x, Number) or not x < low
-        if "pattern" in s:
-            search = re.compile(s["pattern"]).search
-            own["pattern"] = lambda x: not isinstance(x, str) or search(x) is not None
-        if "oneOf" in s:
-            if len(s["oneOf"]) != 2:
-                raise InternalError(f"oneOf of {len(s['oneOf'])} branches")
-            (a, b), (first, second) = map(node, s["oneOf"]), s["oneOf"]
-            own["oneOf"] = lambda x: None if (a(x) is None) != (b(x) is None) else (
-                (), "oneOf", x, (second, first) if a(x) is None else ())  # the branches that both hold
-        if "required" in s:
-            need = frozenset(s["required"])
-            own["required"] = lambda x: not isinstance(x, dict) or need <= x.keys()
-        if s.get("additionalProperties") is False:
-            names = value["additionalProperties"] = frozenset(s.get("properties", ()))
-            own["additionalProperties"] = lambda x: not isinstance(x, dict) or x.keys() <= names
-        if s.get("items") is False:
-            own["items"] = lambda x: not isinstance(x, list) or not x
+        test, only = _TYPES.get(s.get("type"), (None, set()))
         guarded = len(s) > 1 and s.keys() - {"type"} <= only  # a failed type is then the only error
-        checks = [own[k] if k == "oneOf" else _failing(k, value[k], own[k])
-                  for k in s if k in own and not (guarded and k == "type")]
+
+        def of(cls):  # the test that x is a cls, needless under a guard
+            return "" if guarded else f"isinstance(x, {cls}) and "
+
+        def within(cls, lines):  # lines that apply to instances of cls only
+            return lines if guarded or not lines else [f"if isinstance(x, {cls}):", *("    " + c for c in lines)]
+
+        body = [f"if not {test}: return ((), 'type', x, {s['type']!r})"] if guarded else []
+        for k, v in s.items():
+            if k == "type" and not guarded:
+                cond, value = f"not {test}", repr(v)
+            elif k == "enum":
+                if not all(isinstance(e, str) for e in v):
+                    raise InternalError(f"enum of non-strings {v!r}")
+                cond, value = f"not (isinstance(x, str) and x in {self.const(frozenset(v))})", self.const(v)
+            elif k == "minimum":  # jsonschema's own comparison, so NaN passes as it does there
+                value = self.const(v)
+                cond = f"(type(x) is int or not isinstance(x, bool) and isinstance(x, _Number)) and x < {value}"
+            elif k == "pattern":
+                cond, value = f"{of('str')}{self.const(re.compile(v).search)}(x) is None", repr(v)
+            elif k == "oneOf":
+                if len(v) != 2:
+                    raise InternalError(f"oneOf of {len(v)} branches")
+                a, b = (f"{f}(x) is None" if f else "True" for f in map(self.node, v))
+                cond, value = f"(ok := {a}) == ({b})", f"{self.const((v[1], v[0]))} if ok else ()"
+            elif k == "required":
+                cond, value = f"{of('dict')}not {self.const(frozenset(v))} <= x.keys()", self.const(v)
+            elif k == "additionalProperties" and v is False:
+                value = self.const(frozenset(props))
+                cond = f"{of('dict')}not x.keys() <= {value}"
+            elif k == "items" and v is False:
+                cond, value = f"{of('list')}x", "False"
+            else:
+                continue
+            body.append(f"if {cond}: return ((), {k!r}, x, {value})")
         if s.keys() & {"properties", "additionalProperties"}:
-            props = {k: node(v) for k, v in s.get("properties", {}).items()}
-            checks.append(_fields(props, node(s.get("additionalProperties", True))))
-        if s.get("items", False) is not False:
-            checks.append(_elements(node(s["items"])))
-        if guarded:
-            rest, kind = _first(checks), s["type"]
-            return lambda x: rest(x) if isinstance(x, cls) else ((), "type", x, kind)
-        return _first(checks)
-
-    return node({k: v for k, v in root.items() if k not in ("$schema", "$defs")})
-
-
-def _failing(keyword, value, ok):
-    return lambda x: None if ok(x) else ((), keyword, x, value)
-
-
-def _first(checks):
-    return reduce(lambda f, g: lambda x: f(x) or g(x), checks or [lambda x: None])
-
-
-def _elements(item):
-    return lambda x: (
-        next(((i, *e[0]), *e[1:]) for i, e in enumerate(map(item, x)) if e)
-        if isinstance(x, list) and any(map(item, x)) else None
-    )
-
-
-def _fields(props, rest):
-    def check(x):
-        if isinstance(x, dict):
-            for k, v in x.items():
-                if props.get(k, rest)(v) is not None:
-                    k, e = min((k, e) for k, v in x.items() if (e := props.get(k, rest)(v)))
-                    return (k, *e[0]), *e[1:]
-        return None
-
-    return check
+            if (fn := None if rest is False else self.node(rest)) and props:
+                raise InternalError("properties beside an additionalProperties schema")
+            need = set(s.get("required", ()))  # present, once the own checks have passed
+            kids = [f"if {'' if k in need else f'{k!r} in x and '}{self.fails(t, f, f'x[{k!r}]')}: return _at({k!r}, e)"
+                    for k, t in sorted(props.items()) if (f := self.node(t))]
+            if fn:  # once some key fails, the failing key that sorts first
+                kids = ["for k, v in x.items():", f"    if {self.fails(rest, fn, 'v')}:",
+                        f"        return _at(*min((k, e) for k, v in x.items() if (e := {fn}(v)) is not None))"]
+            body += within("dict", kids)
+        if s.get("items", False) is not False and (fn := self.node(s["items"])):
+            t = s["items"]
+            loop = ["for i, v in enumerate(x):", f"    if {self.fails(t, fn, 'v')}: return _at(i, e)"]
+            if self.int_verdict(t):  # a plain pass first; the failing index is looked for after a failure
+                loop = ["for v in x:", f"    if {self.fails(t, fn, 'v')}: break", "else: return None", *loop]
+            body += within("list", loop)
+        return self.function(body) if body else None
 
 
 _MESSAGES = {  # jsonschema 4.26's, from the failing instance and the error's value
@@ -279,12 +325,35 @@ def loads(text: str) -> Document:
 
 
 def dumps(doc: Document) -> str:
-    """Deterministic serialization; the payload is re-checked against its
-    schema so a malformed emission fails loudly at the source."""
+    """Deterministic serialization, the text json.dumps(body, indent=2,
+    sort_keys=True) gives, plus a newline; the payload is re-checked against
+    its schema so a malformed emission fails loudly at the source."""
     if (error := _checker(doc.kind)(doc.payload)) is not None:
         raise InternalError(f"emitted {doc.kind!r} document fails its schema: {_violation(doc.kind, error)}")
-    body = {"kind": doc.kind, "payload": doc.payload, "version": FORMAT_VERSION}
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return _text({"kind": doc.kind, "payload": doc.payload, "version": FORMAT_VERSION}, "\n") + "\n"
+
+
+def _text(o, line: str) -> str:
+    # o as json.dumps(o, indent=2, sort_keys=True) writes it, line being the
+    # newline and indentation that its inner lines start with
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if type(o) is int:
+        return str(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    inner = line + "  "
+    if isinstance(o, (list, tuple)) and o:
+        for x in o:
+            if type(x) is not int:
+                return f"[{inner}{f',{inner}'.join([_text(x, inner) for x in o])}{line}]"
+        return f"[{inner}{f',{inner}'.join(map(str, o))}{line}]"  # a row of ints, the bulk of a payload
+    if isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
+        items = [f"{encode_basestring_ascii(k)}: {_text(v, inner)}" for k, v in sorted(o.items())]
+        return f"{{{inner}{f',{inner}'.join(items)}{line}}}"
+    if isinstance(o, dict) and o:  # keys that are no strings
+        return json.dumps(o, indent=2, sort_keys=True).replace("\n", line)
+    return json.dumps(o)  # a float or an empty container; TypeError for what JSON cannot hold
 
 
 def encode_int(v: int):
@@ -317,7 +386,10 @@ def encode_vector(v) -> list:
 
 
 def decode_vector(v) -> tuple[int, ...]:
-    return tuple(decode_int(x) for x in v)
+    for x in v:  # past the schema check almost every entry is an int: take the row whole
+        if type(x) is not int:
+            return tuple(map(decode_int, v))
+    return tuple(v)
 
 
 def encode_matrix(m: IntMatrix) -> list:
@@ -326,7 +398,7 @@ def encode_matrix(m: IntMatrix) -> list:
 
 def decode_matrix(raw, cols_hint: int | None = None) -> IntMatrix:
     # a zero-row matrix serializes as [] and loses its column count, hence the hint
-    entries = tuple(tuple(decode_int(x) for x in row) for row in raw)
+    entries = tuple(map(decode_vector, raw))
     if entries:
         cols = len(entries[0])
         if any(len(r) != cols for r in entries):

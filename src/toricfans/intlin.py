@@ -57,8 +57,13 @@ def _as_int(x) -> int:
 
 def int_vector(v: Iterable) -> tuple[int, ...]:
     """The entries of v as a tuple, refusing with TypeError any that is not
-    an int (bools included), as from_rows does, instead of truncating it."""
-    return tuple(_as_int(x) for x in v)
+    an int (bools included), as from_rows does, instead of truncating it.
+    A tuple of plain ints is returned as it is."""
+    t = v if type(v) is tuple else tuple(v)
+    for x in t:
+        if type(x) is not int:
+            return tuple(map(_as_int, t))
+    return t
 
 
 def _is_identity(a: "IntMatrix") -> bool:
@@ -82,9 +87,8 @@ class IntMatrix:
             raise ValueError("negative matrix dimension")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix entries")
+        if self.rows and {*map(len, self.entries)} != {self.cols}:
+            raise ValueError("ragged matrix entries")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], *, cols: int | None = None) -> "IntMatrix":
@@ -118,13 +122,13 @@ class IntMatrix:
         return self.entries[i]
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
+        return tuple([r[j] for r in self.entries])
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.col(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
+        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """The product; an identity factor gives back the other factor itself,
@@ -136,13 +140,13 @@ class IntMatrix:
         if _is_identity(other):
             return self
         ot = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
-        data = tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self.entries)
+        data = tuple(tuple([sum(map(mul, row, col)) for col in ot]) for row in self.entries)
         return IntMatrix(self.rows, other.cols, data)
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(map(mul, row, v)) for row in self.entries)
+        return tuple([sum(map(mul, row, v)) for row in self.entries])
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -484,9 +488,7 @@ def reduce_basis(basis: IntMatrix) -> ReducedBasis:
 
 def primitivize(v: Sequence[int]) -> tuple[int, ...]:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g == 0:
+    g = gcd(*v)
+    if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)

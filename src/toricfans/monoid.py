@@ -56,8 +56,11 @@ class FaceMorphism:
     @cached_property
     def ray_map(self) -> tuple[int, ...] | None:
         """For each source ray, the index in target.rays of the ray its image
-        is a positive multiple of; None when some image is no such multiple."""
-        return ray_indices(self.target, [self.map.apply(r) for r in self.source.rays])
+        is a positive multiple of; None when some image is no such multiple.
+        Through the shared identity the images are the source rays."""
+        m = self.map
+        images = self.source.rays if m is IntMatrix.identity(m.cols) else [m.apply(r) for r in self.source.rays]
+        return ray_indices(self.target, images)
 
 
 def image_cone(f: FaceMorphism) -> Cone:

@@ -463,6 +463,46 @@ def test_unreadable_integers_are_usage_errors(argv, text, message, tmp_path, cap
     assert err.startswith("error: ") and message in err
 
 
+TOO_LONG = "9" * (sys.get_int_max_str_digits() + 1)
+LONG_LITERAL = object()  # stands for TOO_LONG written as a number literal
+
+
+def _matrix_entry_doc(kind: str, entry) -> tuple[str, str]:
+    """A fixture with the first entry of a matrix replaced, and that entry's path."""
+    if kind == "diagram":
+        body = json.loads(Path(QUADRANT_DIAGRAM).read_text("utf-8"))["payload"]
+        matrix, where = body["morphisms"][0]["matrix"], "morphisms/0/matrix/0/0"
+    else:
+        body = _doubled_line_with()
+        name = next(k for k, m in sorted(body["betas"].items()) if m and m[0])
+        matrix, where = body["betas"][name], f"betas/{name}/0/0"
+    matrix[0][0] = "<entry>" if entry is LONG_LITERAL else entry
+    text = json.dumps({"kind": kind, "payload": body, "version": "1"})
+    return text.replace('"<entry>"', TOO_LONG), where  # a number literal past the digit limit
+
+
+@pytest.mark.parametrize("argv, kind", [(["validate"], "diagram"), (["glue"], "charts")])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (2.0, "not an integer value: 2.0"),
+        (True, "schema violation for kind {kind!r} at {where}: True is not valid under any of the given schemas"),
+        ("12\n", "not an integer value: '12\\n'"),
+        (LONG_LITERAL, f"integer with more than {sys.get_int_max_str_digits()} digits"),
+        (TOO_LONG, f"integer with more than {sys.get_int_max_str_digits()} digits"),
+    ],
+    ids=["integral float", "bool", "trailing newline", "long literal", "long string"],
+)
+def test_matrix_entries_that_are_no_integers_are_usage_errors(argv, kind, entry, message, tmp_path, capsys):
+    # a whole row of ints is taken at once; anything else in a matrix is still refused
+    text, where = _matrix_entry_doc(kind, entry)
+    path = tmp_path / "doc.json"
+    path.write_text(text, "utf-8")
+    code, out, err = invoke([*argv, "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(kind=kind, where=where)}\n"
+
+
 def _bare_monoid(rank: int) -> dict:
     return {"lattice_rank": rank, "cone": {"ambient_rank": rank, "rays": []}}
 

@@ -1,8 +1,10 @@
 """JSON envelope round-trips and schema rejection."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricfans import documents
 from toricfans.cone import NotPointed, cone_from_rays
@@ -12,6 +14,7 @@ from toricfans.errors import InternalError
 from toricfans.intlin import IntMatrix
 from toricfans.stackyfan import ChartData, Fan, InfiniteCokernel, StackyFan
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 QUADRANT = cone_from_rays(2, [(1, 0), (0, 1)])
 NAT_LINE = face_diagram(cone_from_rays(1, [(1,)]))
 
@@ -66,6 +69,67 @@ def test_dumps_is_deterministic():
     b = Document("fan", {"maximal_cones": [[0]], "rays": [[1]], "lattice_rank": 1})
     assert documents.dumps(a) == documents.dumps(b)
     assert documents.dumps(a).endswith("\n")
+
+
+# dumps writes its text itself; it must be what json.dumps(indent=2, sort_keys=True) writes
+TEXTS = st.text(max_size=8) | st.sampled_from(
+    ["", "é", "日本", "😀", "\u2028", '"\\/', "\x00\x1f\x7f", "\b\f\n\r\t", "a\nb", "[1, 2]", "{\"k\": 0}"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | TEXTS | st.integers(-(2**60), 2**60) | st.integers(2**53, 2**200)
+    | st.integers(-(2**200), -(2**53)) | st.floats(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXTS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_emitter_writes_what_json_dumps_writes(value):
+    assert documents._text(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value", [[], {}, [[]], [{}], {"a": []}, [[1, 2], [3]], [1, True], [{1: [1, 2], 2: {}}], {True: None}, (1, (2,))]
+)
+def test_emitter_on_edge_shapes(value):
+    # empty containers, a row that holds a bool, keys that are no strings, tuples
+    assert documents._text(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_emitter_refuses_what_json_cannot_hold():
+    with pytest.raises(TypeError):
+        documents._text([{1, 2}], "\n")
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.name)
+def test_dumps_of_every_fixture_is_json_dumps(path):
+    doc = documents.loads(path.read_text("utf-8"))
+    body = {"kind": doc.kind, "payload": doc.payload, "version": "1"}
+    assert documents.dumps(doc) == json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+REPORTS = st.fixed_dictionaries(
+    {"ok": st.booleans()},
+    optional={
+        "detail": TEXTS, "error": TEXTS, "which": TEXTS, "witness": st.lists(TEXTS, max_size=3),
+        "violations": st.lists(st.fixed_dictionaries({"condition": TEXTS, "detail": TEXTS}), max_size=3),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORTS)
+def test_dumps_of_reports_with_any_strings_is_json_dumps(payload):
+    body = {"kind": "report", "payload": payload, "version": "1"}
+    assert documents.dumps(Document("report", payload)) == json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+def test_compiler_refuses_properties_beside_an_additional_properties_schema():
+    # no packaged schema pairs them, so the generated checker has no code path for it
+    with pytest.raises(InternalError, match="properties beside an additionalProperties schema"):
+        documents.compile_schema({"properties": {"a": {}}, "additionalProperties": {"type": "string"}})
+    assert documents.compile_schema({"properties": {"a": {}}, "additionalProperties": False})({"b": 1})
 
 
 def test_huge_entries_become_strings():

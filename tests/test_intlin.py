@@ -13,6 +13,7 @@ from toricfans.intlin import (
     NotSaturated,
     cokernel_invariants,
     complement_summand,
+    int_vector,
     invariant_factors,
     kernel_basis,
     primitivize,
@@ -169,6 +170,27 @@ def test_primitivize():
     assert primitivize((2, -4, 6)) == (1, -2, 3)
     assert primitivize((0, 0)) == (0, 0)
     assert primitivize((-3,)) == (-1,)
+    v = (3, -5)
+    assert primitivize(v) is v  # gcd 1: nothing to divide
+    assert primitivize([4, 0]) == (1, 0)
+
+
+class Count(int):
+    pass
+
+
+def test_int_vector_takes_plain_ints_whole_and_refuses_the_rest():
+    v = (1, -2, 2**70)
+    assert int_vector(v) is v
+    assert int_vector([0, 5]) == (0, 5)
+    assert int_vector(x for x in (7,)) == (7,)
+    assert int_vector(()) == ()
+    # an int subclass that is no bool goes through the checked path and is kept
+    w = int_vector((Count(3), 4))
+    assert w == (3, 4) and type(w[0]) is Count
+    for bad in ((1, True), (False,), (1, 2.0), (0.5,), ("3",), (None,)):
+        with pytest.raises(TypeError, match="entries must be ints"):
+            int_vector(bad)
 
 
 matrices = st.integers(min_value=0, max_value=5).flatmap(

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, assume, strategies as st
 
-from toricfans.cone import Cone, Functional, NotPointed, cone_from_rays, faces, gp
+from toricfans.cone import Cone, Functional, NotPointed, cone_from_rays, faces, gp, ray_indices
+from toricfans.diagram import face_diagram
 from toricfans.intlin import IntMatrix, NotSaturated, reduce_basis
 from toricfans.monoid import (
     FaceMorphism,
@@ -88,6 +89,23 @@ def test_t1_with_a_ray_map_off_the_face_masks_finds_no_face():
     across = FaceMorphism(QUAD, square, IntMatrix.from_rows([(-1, 1), (0, 0), (1, 1)]))
     assert across.ray_map is not None
     assert verify_face_morphism(across) == ("image not a face", "not saturated")
+
+
+def test_t1_on_identity_edges_applies_no_matrix(monkeypatch):
+    # a face diagram's edges hold the shared identity, so each ray map is
+    # looked up from the source rays themselves
+    pyramid = cone_from_rays(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    d = face_diagram(pyramid)
+    edges = [FaceMorphism(d.objects[e.source_id], d.objects[e.target_id], e.matrix) for e in d.edges]
+    assert edges and all(f.map is IntMatrix.identity(3) for f in edges)
+    applied = []
+    apply = IntMatrix.apply
+    monkeypatch.setattr(IntMatrix, "apply", lambda m, v: applied.append(v) or apply(m, v))
+    assert [verify_face_morphism(f) for f in edges] == [()] * len(edges)
+    assert applied == []
+    monkeypatch.undo()
+    for f in edges:
+        assert f.ray_map == ray_indices(f.target, [f.map.apply(r) for r in f.source.rays])
 
 
 def test_t1_stops_at_a_non_injective_map_with_a_ray_map():
