@@ -23,15 +23,14 @@ the span as lines and comes back as a NonPointedCone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import and_, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InternalError
+from .frozen import Frozen
 from .intlin import (
     IntMatrix,
-    ReducedBasis,
     int_vector,
     kernel_basis,
     primitivize,
@@ -47,8 +46,7 @@ class NotAFace(DomainError):
     """Raised when a claimed face is not a face of the given cone."""
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(NamedTuple):
     """Integer linear functional on an ambient lattice."""
 
     coefficients: tuple[int, ...]
@@ -59,20 +57,20 @@ class Functional:
         return sum(a * b for a, b in zip(self.coefficients, v))
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Frozen):
     """Pointed cone, canonical form: primitive extreme rays, lex-sorted.
 
     Build through cone_from_rays; the constructor trusts its input.
     """
 
-    ambient_rank: int
-    rays: tuple[tuple[int, ...], ...]
+    __slots__ = ("ambient_rank", "rays", "__dict__")
 
-    def __post_init__(self):
-        for r in self.rays:
-            if len(r) != self.ambient_rank:
+    def __init__(self, ambient_rank: int, rays: tuple[tuple[int, ...], ...]):
+        for r in rays:
+            if len(r) != ambient_rank:
                 raise ValueError("ray length does not match ambient rank")
+        object.__setattr__(self, "ambient_rank", ambient_rank)  # as IntMatrix does: cones are built often
+        object.__setattr__(self, "rays", rays)
 
     def is_zero(self) -> bool:
         return not self.rays
@@ -82,8 +80,7 @@ class Cone:
         return _analyse(self.ambient_rank, self.rays)
 
 
-@dataclass(frozen=True)
-class NonPointedCone:
+class NonPointedCone(NamedTuple):
     """A cone containing lines: pointed-part generators plus a lineality basis.
 
     The split into pointed part and lineality is a choice, not an invariant,
@@ -177,25 +174,21 @@ def _facet_normals(coords, dim):
     return tuple(y for y, _ in rays), tuple(z for _, z in rays)
 
 
-@dataclass(frozen=True)
-class _Analysis:
+class _Analysis(Frozen):
     """What the module knows about the cone generated by vecs (cleaned).
 
-    ``facets`` are in span coordinates, and ``incidence[f]`` has bit i set
-    when vecs[i] lies on facet f.  The cone is pointed exactly when no
-    generator lies on every facet: the lineality space is the smallest face,
-    the intersection of the facets (everything when there are none), and
-    like every face it is generated by the generators in it.
+    ``lineality`` is the sorted annihilator basis of the span, ``basis`` a
+    saturated basis of the lattice points in the span, as columns, and
+    ``reduced`` that basis row reduced once, for ``coords``, vecs in its
+    coordinates.  ``facets`` are in span coordinates, and ``incidence[f]``
+    has bit i set when vecs[i] lies on facet f.  The cone is pointed exactly
+    when no generator lies on every facet: the lineality space is the
+    smallest face, the intersection of the facets (everything when there
+    are none), and like every face it is generated by the generators in it.
     """
 
-    ambient_rank: int
-    vecs: tuple[tuple[int, ...], ...]
-    lineality: tuple[tuple[int, ...], ...]  # sorted annihilator basis of the span
-    basis: IntMatrix  # saturated basis of the lattice points in the span, as columns
-    reduced: ReducedBasis  # basis row reduced once, for coordinates in it
-    coords: tuple[tuple[int, ...], ...]  # vecs in basis coordinates
-    facets: tuple[tuple[int, ...], ...]
-    incidence: tuple[int, ...]
+    __slots__ = ("ambient_rank", "vecs", "lineality", "basis", "reduced", "coords", "facets", "incidence",
+                 "__dict__")
 
     @cached_property
     def pointed(self) -> bool:

@@ -33,11 +33,10 @@ Gluing and extension descend to the colimit through one solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cone import (
     Cone,
@@ -57,6 +56,7 @@ from .cone import (
     supporting_functional,
 )
 from .errors import DomainError, InternalError
+from .frozen import Frozen
 from .intlin import (
     IntMatrix,
     NotInLattice,
@@ -102,8 +102,7 @@ class NegativeOnSub(DomainError):
     """Raised in positive mode when a given functional is negative on a member ray."""
 
 
-@dataclass(frozen=True)
-class DiagramMorphism:
+class DiagramMorphism(NamedTuple):
     """An edge of the diagram, endpoints referenced by object id."""
 
     source_id: str
@@ -143,25 +142,22 @@ class TightDiagram:
         return _analyse(self)
 
 
-@dataclass(frozen=True)
-class Subdiagram:
-    parent: TightDiagram
-    member_ids: frozenset
+class Subdiagram(Frozen):
+    __slots__ = ("parent", "member_ids")
 
-    def __post_init__(self):
-        unknown = set(self.member_ids) - set(self.parent.objects)
+    def __init__(self, parent: TightDiagram, member_ids: frozenset):
+        unknown = set(member_ids) - set(parent.objects)
         if unknown:
             raise ValueError(f"unknown member ids: {sorted(unknown)}")
+        super().__init__(parent, member_ids)
 
 
-@dataclass(frozen=True)
-class ColimitResult:
+class ColimitResult(NamedTuple):
     cone: Cone  # its ambient_rank is the rank of the colimit lattice
     embeddings: Mapping[str, IntMatrix]  # id -> (cone.ambient_rank x gp-rank of object)
 
 
-@dataclass(frozen=True)
-class DiagramAnalysis:
+class DiagramAnalysis(Frozen):
     """What one diagram's operations need to know about it; derived once, never modified.
 
     ``below`` is the one encoding of the order.  On a directed morphism
@@ -173,14 +169,17 @@ class DiagramAnalysis:
     tight; so does ``descend``, the one way down to the colimit lattice.
     """
 
-    objects: Mapping[str, Cone]
-    order: tuple[str, ...]  # topological, sources first; bit k of a mask is order[k]
-    below: Mapping[str, int]  # y -> mask of every x with a path x -> y, y included
-    composites: Mapping[str, Mapping[str, IntMatrix]]  # x -> y -> matrix of the path x -> y
-    maximal_ids: tuple[str, ...]  # sorted ids with nothing above them
-    images: Mapping[tuple[str, str], int | None]  # (x, y) -> x's image in y, a mask over y's rays
-    realizers: Mapping[str, Mapping[int | None, list[str]]]  # y -> image mask in y -> sorted x with it
-    violations: tuple[str, ...]
+    __slots__ = (
+        "objects",  # id -> Cone
+        "order",  # topological, sources first; bit k of a mask is order[k]
+        "below",  # y -> mask of every x with a path x -> y, y included
+        "composites",  # x -> y -> matrix of the path x -> y
+        "maximal_ids",  # sorted ids with nothing above them
+        "images",  # (x, y) -> x's image in y, a mask over y's rays, or None
+        "realizers",  # y -> image mask in y -> sorted x with it
+        "violations",
+        "__dict__",
+    )
 
     def require_tight(self) -> None:
         if self.violations:

@@ -82,10 +82,12 @@ _LOCAL_REF = re.compile(r"#/\$defs/([A-Za-z0-9_-]+)")
 _DECIMAL = re.compile(r"-?[0-9]+")  # whole string; the schema's pattern lets "12\n" through
 
 
+_SCHEMAS = resources.files("toricfans") / "schemas"  # resolved once, not once per kind
+
+
 def schema(kind: str) -> dict:
     """The packaged JSON Schema of a document kind."""
-    text = resources.files("toricfans").joinpath("schemas", f"{kind}.json").read_text("utf-8")
-    return json.loads(text)
+    return json.loads((_SCHEMAS / f"{kind}.json").read_text("utf-8"))
 
 
 _TYPES = {  # each type's test of x, and the keywords constraining only its instances

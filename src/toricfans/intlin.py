@@ -29,11 +29,12 @@ other factor, and an identity needs no Smith reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
+
+from .frozen import Frozen
 
 
 class DependentColumns(ValueError):
@@ -70,17 +71,21 @@ def _is_identity(a: "IntMatrix") -> bool:
     return a.rows == a.cols and (a is (i := IntMatrix.identity(a.cols)) or a.entries == i.entries)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable integer matrix, row-major, mapping Z^cols -> Z^rows.
 
     from_rows and from_cols refuse entries that are not ints; the
     constructor checks the shape only and trusts its entries.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        # set directly: Frozen.__init__'s loop takes twice as long, and no class is built more often
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()  # a method of its own, so perfbench can wrap every matrix's check
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -423,8 +428,7 @@ def complement_summand(b: IntMatrix) -> IntMatrix:
     return IntMatrix(b.rows - r, b.rows, uinv_t.entries[r:]).transpose()
 
 
-@dataclass(frozen=True)
-class ReducedBasis:
+class ReducedBasis(NamedTuple):
     """A basis of k independent columns, row reduced once: u @ basis ==
     echelon == [T; 0], with T k x k upper triangular, its pivots on the
     diagonal and positive, and k == echelon.cols.  coordinates solves

@@ -15,7 +15,6 @@ optionally making it strictly positive away from that face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cone import (
@@ -29,6 +28,7 @@ from .cone import (
     supporting_functional,
 )
 from .errors import DomainError, InternalError
+from .frozen import Frozen
 from .intlin import IntMatrix, invariant_factors, reduce_basis
 
 
@@ -37,21 +37,21 @@ class NegativeOnFace(DomainError):
     already negative somewhere on the face."""
 
 
-@dataclass(frozen=True)
-class FaceMorphism:
+class FaceMorphism(Frozen):
     """A lattice map meant to include source as a face of target.
 
     Only shapes are checked here; the semantic conditions are the business of
     verify_face_morphism.
     """
 
-    source: Cone
-    target: Cone
-    map: IntMatrix
+    __slots__ = ("source", "target", "map", "__dict__")
 
-    def __post_init__(self):
-        if self.map.rows != self.target.ambient_rank or self.map.cols != self.source.ambient_rank:
+    def __init__(self, source: Cone, target: Cone, map: IntMatrix):
+        if map.rows != target.ambient_rank or map.cols != source.ambient_rank:
             raise ValueError("morphism matrix shape does not match the lattices")
+        object.__setattr__(self, "source", source)  # as IntMatrix does: one is built per edge
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "map", map)
 
     @cached_property
     def ray_map(self) -> tuple[int, ...] | None:

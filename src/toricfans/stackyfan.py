@@ -10,12 +10,12 @@ single colimit cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .cone import NotPointed, cone_from_rays, gp, intersection, is_face
 from .diagram import TightDiagram
 from .errors import DomainError
+from .frozen import Frozen
 from .intlin import (
     CokernelInvariants,
     IntMatrix,
@@ -39,63 +39,58 @@ class RaysDoNotSpan(DomainError):
     """Raised when a construction needs the fan rays to span the lattice."""
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Frozen):
     """Rays by value, maximal cones by ray index; construction checks shapes
     and refuses entries that are not ints with TypeError."""
 
-    lattice_rank: int
-    rays: tuple[tuple[int, ...], ...]
-    maximal_cones: tuple[tuple[int, ...], ...]
+    __slots__ = ("lattice_rank", "rays", "maximal_cones")
 
-    def __post_init__(self):
-        rays = tuple(int_vector(r) for r in self.rays)
+    def __init__(
+        self, lattice_rank: int, rays: tuple[tuple[int, ...], ...], maximal_cones: tuple[tuple[int, ...], ...]
+    ):
+        rays = tuple(int_vector(r) for r in rays)
         for r in rays:
-            if len(r) != self.lattice_rank:
+            if len(r) != lattice_rank:
                 raise ValueError("ray length does not match the lattice rank")
         cones = []
-        for ixs in self.maximal_cones:
+        for ixs in maximal_cones:
             out = tuple(sorted(set(int_vector(ixs))))
             if any(i < 0 or i >= len(rays) for i in out):
                 raise ValueError("maximal cone references a ray that does not exist")
             cones.append(out)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "maximal_cones", tuple(cones))
+        super().__init__(lattice_rank, rays, tuple(cones))
 
     def cone(self, k: int):
         return cone_from_rays(self.lattice_rank, [self.rays[i] for i in self.maximal_cones[k]])
 
 
-@dataclass(frozen=True)
-class StackyFan:
+class StackyFan(Frozen):
     """A fan on L plus beta: L -> N with finite cokernel; N is Z^beta.rows."""
 
-    fan: Fan
-    beta: IntMatrix
+    __slots__ = ("fan", "beta")
 
-    def __post_init__(self):
-        if self.beta.cols != self.fan.lattice_rank:
+    def __init__(self, fan: Fan, beta: IntMatrix):
+        if beta.cols != fan.lattice_rank:
             raise ValueError("beta shape does not match the fan and target lattices")
-        if cokernel_invariants(self.beta).free_rank != 0:
+        if cokernel_invariants(beta).free_rank != 0:
             raise InfiniteCokernel("beta does not have finite cokernel")
+        super().__init__(fan, beta)
 
 
-@dataclass(frozen=True)
-class ChartData:
+class ChartData(Frozen):
     """Tight chart diagram with one beta per object, given on gp of the
     object (faces then restrict automatically), all into Z^target_rank."""
 
-    diagram: TightDiagram
-    betas: Mapping[str, IntMatrix]
-    target_rank: int
+    __slots__ = ("diagram", "betas", "target_rank")
 
-    def __post_init__(self):
-        if set(self.betas) != set(self.diagram.objects):
+    def __init__(self, diagram: TightDiagram, betas: Mapping[str, IntMatrix], target_rank: int):
+        if set(betas) != set(diagram.objects):
             raise ValueError("betas must be indexed exactly by the diagram objects")
-        for i, obj in self.diagram.objects.items():
-            b = self.betas[i]
-            if (b.rows, b.cols) != (self.target_rank, gp(obj).cols):
+        for i, obj in diagram.objects.items():
+            b = betas[i]
+            if (b.rows, b.cols) != (target_rank, gp(obj).cols):
                 raise ValueError(f"beta for object {i!r} has the wrong shape")
+        super().__init__(diagram, betas, target_rank)
 
 
 def validate_fan(f: Fan) -> tuple[str, ...]:

@@ -11,14 +11,16 @@ documents (which compiles their kinds' schema checkers) and replays every
 operation of the corpus in process through ``toricfans.cli.main``, as
 perfbench/timed.py does.  The two trees take turns going first.  A pass
 reports its process CPU time over the replay loop alone (set-up excluded,
-as timed.py leaves it out of the latencies) and one sha256 over (exit
-code, stdout, stderr) of its operations, hashed as tests/replay_hash.py
-hashes them.
+as timed.py leaves it out of the latencies), its set-up CPU time, timed as
+timed.py times setup_s (from before ``import toricfans.cli`` until the
+warm-up documents are loaded), and one sha256 over (exit code, stdout,
+stderr) of its operations, hashed as tests/replay_hash.py hashes them.
 
-Prints, per seed, each round's CPU times and the ratio OTHER / THIS (above
-1 means this checkout is faster), how many rounds each tree won, the median
-ratio, and both trees' replay hashes; the last line is one JSON object with
-the same numbers.  Exits 1 when the two trees' replies differ, or a tree's
+Prints, per seed, each round's replay and set-up CPU times and their
+ratios OTHER / THIS (above 1 means this checkout is faster), how many
+rounds each tree won and the median ratio, for the replay and for set-up,
+and both trees' replay hashes; the last line is one JSON object with the
+same numbers.  Exits 1 when the two trees' replies differ, or a tree's
 replies differ between rounds.  Passing ``.`` as OTHER_CHECKOUT compares
 the tree with itself: the ratio should then read near 1.00.  Timing on a
 shared machine drifts, so the pairing is the point: both passes of a round
@@ -41,27 +43,30 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def one_pass(src: str, corpus: str) -> dict:
-    """Replay a corpus with the package under src; CPU time and reply hash."""
+    """Replay a corpus with the package under src; replay and set-up CPU
+    times and the reply hash."""
     import hashlib
 
     from replay_hash import corpus_ops, replay
 
     sys.path.insert(0, src)
+    setup = time.process_time()
     from toricfans import cli, documents
 
-    if Path(cli.__file__).resolve().parent != Path(src).resolve() / "toricfans":
-        raise SystemExit(f"imported {cli.__file__}, not the package under {src}")
     ops = corpus_ops(Path(corpus))
     with open(corpus, encoding="utf-8") as f:
         for text in json.loads(f.readline())["warmup"]:
             documents.loads(text)
+    setup = time.process_time() - setup
+    if Path(cli.__file__).resolve().parent != Path(src).resolve() / "toricfans":
+        raise SystemExit(f"imported {cli.__file__}, not the package under {src}")
     digest = hashlib.sha256()
     cpu = time.process_time()
     replies = [replay(cli.main, args, text) for args, text in ops]
     cpu = time.process_time() - cpu
     for code, out, err in replies:
         digest.update(json.dumps([str(code), out, err]).encode("utf-8"))
-    return {"cpu_s": cpu, "operations": len(ops), "sha256": digest.hexdigest()}
+    return {"cpu_s": cpu, "setup_s": setup, "operations": len(ops), "sha256": digest.hexdigest()}
 
 
 def run_pass(src: Path, corpus: Path) -> dict:
@@ -73,27 +78,39 @@ def run_pass(src: Path, corpus: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def paired(this_s: list[float], other_s: list[float], prefix: str = "") -> dict:
+    """Per-round ratios OTHER / THIS of paired times, each side's wins and the median."""
+    ratios = [o / t for t, o in zip(this_s, other_s)]
+    return {
+        f"{prefix}ratios": [round(x, 4) for x in ratios],
+        f"{prefix}this_s": [round(x, 4) for x in this_s],
+        f"{prefix}other_s": [round(x, 4) for x in other_s],
+        f"{prefix}this_wins": sum(x > 1 for x in ratios),
+        f"{prefix}other_wins": sum(x < 1 for x in ratios),
+        f"{prefix}median_ratio": round(statistics.median(ratios), 4),
+    }
+
+
 def compare(this: Path, other: Path, corpus: Path, rounds: int) -> dict:
     times = {"this": [], "other": []}
+    setups = {"this": [], "other": []}
     hashes = {"this": set(), "other": set()}
     for r in range(rounds):
         order = ("this", "other") if r % 2 == 0 else ("other", "this")
         for side in order:
             result = run_pass(this if side == "this" else other, corpus)
             times[side].append(result["cpu_s"])
+            setups[side].append(result["setup_s"])
             hashes[side].add(result["sha256"])
         ratio = times["other"][-1] / times["this"][-1]
+        setup_ratio = setups["other"][-1] / setups["this"][-1]
         print(f"  round {r + 1:2}: this {times['this'][-1]:.4f} s, other {times['other'][-1]:.4f} s,"
-              f" other/this {ratio:.3f}")
-    ratios = [o / t for t, o in zip(times["this"], times["other"])]
+              f" other/this {ratio:.3f}; set-up this {setups['this'][-1] * 1e3:.1f} ms,"
+              f" other {setups['other'][-1] * 1e3:.1f} ms, other/this {setup_ratio:.3f}")
     return {
         "operations": result["operations"],
-        "ratios": [round(x, 4) for x in ratios],
-        "this_s": [round(x, 4) for x in times["this"]],
-        "other_s": [round(x, 4) for x in times["other"]],
-        "this_wins": sum(x > 1 for x in ratios),
-        "other_wins": sum(x < 1 for x in ratios),
-        "median_ratio": round(statistics.median(ratios), 4),
+        **paired(times["this"], times["other"]),
+        **paired(setups["this"], setups["other"], "setup_"),
         "this_sha256": sorted(hashes["this"]),
         "other_sha256": sorted(hashes["other"]),
     }
@@ -126,8 +143,9 @@ def main(argv=None) -> int:
             print(f"seed {seed}:")
             s = report["seeds"][seed] = compare(this, other, corpus, args.rounds)
             print(f"  operations: {s['operations']}")
-            print(f"  this faster in {s['this_wins']} of {args.rounds} rounds, other in {s['other_wins']};"
-                  f" median other/this {s['median_ratio']:.3f}")
+            for what, p in (("replay", ""), ("set-up", "setup_")):
+                print(f"  {what}: this faster in {s[p + 'this_wins']} of {args.rounds} rounds,"
+                      f" other in {s[p + 'other_wins']}; median other/this {s[p + 'median_ratio']:.3f}")
             print(f"  sha256 this: {' '.join(s['this_sha256'])}")
             print(f"  sha256 other: {' '.join(s['other_sha256'])}")
             same = same and len(s["this_sha256"]) == 1 and s["this_sha256"] == s["other_sha256"]

@@ -8,11 +8,18 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from toricfans.cone import Cone, NotPointed, cone_from_rays
-from toricfans.diagram import Subdiagram, TightDiagram, coproduct, face_diagram, is_join_closed
+from toricfans.cone import Cone, NotPointed, cone_from_rays, faces, gp
+from toricfans.diagram import (
+    DiagramMorphism,
+    Subdiagram,
+    TightDiagram,
+    coproduct,
+    face_diagram,
+    is_join_closed,
+)
 from toricfans.intlin import IntMatrix, primitivize
 from toricfans.intlin import rank as matrix_rank
-from toricfans.stackyfan import Fan
+from toricfans.stackyfan import ChartData, Fan
 
 
 def random_pointed_cone(rng, max_rank=4, max_rays=8, full_dim=False, span=5, min_rank=1) -> Cone:
@@ -155,3 +162,29 @@ def random_complete_or_affine_fan(rng) -> Fan:
     if roll < 0.9:
         return Fan(1, ((-1,), (1,)), ((0,), (1,)))
     return orthant_fan(rng)
+
+
+def charts_of(fan: Fan) -> ChartData:
+    """The chart diagram of a fan with distinct rays, and its betas.
+
+    The objects are the fan's cones, every face of every maximal cone once,
+    with id "c" followed by "_k" for each index k into fan.rays of its rays
+    ("c" alone is the zero cone).  The edges are identity matrices along
+    covers, and each chart's beta is its gp basis.
+    """
+    index = {r: k for k, r in enumerate(fan.rays)}
+    masks = {}
+    for k in range(len(fan.maximal_cones)):
+        for f in faces(fan.cone(k)):
+            masks[sum(1 << index[r] for r in f.rays)] = f
+    order = sorted(masks, key=lambda m: (m.bit_count(), m))
+    name = {m: "c" + "".join(f"_{k}" for k in range(len(fan.rays)) if m >> k & 1) for m in order}
+    edges = []
+    for i, fm in enumerate(order):
+        covers = []  # by ray count, g covers f unless a cover of f met earlier lies inside g
+        for gm in order[i + 1 :]:
+            if fm & ~gm == 0 and all(h & ~gm for h in covers):
+                covers.append(gm)
+                edges.append(DiagramMorphism(name[fm], name[gm], IntMatrix.identity(fan.lattice_rank)))
+    d = TightDiagram({name[m]: masks[m] for m in order}, edges)
+    return ChartData(d, {name[m]: gp(c) for m, c in masks.items()}, fan.lattice_rank)

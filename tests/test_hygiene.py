@@ -1,6 +1,7 @@
 """Tooling guards on the package source: no assert statements, no private
 names imported across modules, no unbounded caches, no jsonschema import,
-even when a schema rejects a document, no unused imports, and one root
+even when a schema rejects a document, no dataclasses import, nor inspect
+loaded by importing the command line, no unused imports, and one root
 class for structural failures."""
 
 import ast
@@ -89,9 +90,13 @@ def test_no_module_imports_jsonschema():
     assert found == []
 
 
-def test_schema_rejection_leaves_jsonschema_unloaded():
+def _package_env():
     paths = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def test_schema_rejection_leaves_jsonschema_unloaded():
+    env = _package_env()
     document = '{"version": "1", "kind": "monoid", "payload": {"lattice_rank": "two"}}'
     probe = (
         "import io, sys, toricfans.cli as cli; sys.stdin = io.StringIO(sys.argv[1]); "
@@ -102,6 +107,30 @@ def test_schema_rejection_leaves_jsonschema_unloaded():
     )
     assert result.stdout.split() == ["2", "False"]
     assert result.stderr == "error: schema violation for kind 'monoid' at (root): 'cone' is a required property\n"
+
+
+def test_no_module_imports_dataclasses():
+    # value classes derive from frozen.Frozen or NamedTuple, which build without generated code
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if "dataclasses" in _imported_packages(node)
+    ]
+    assert found == []
+
+
+def test_importing_the_command_line_loads_neither_dataclasses_nor_inspect():
+    # every command pays its start-up; these two (and ast, dis and tokenize
+    # behind inspect) cost about a tenth of it
+    probe = (
+        "import sys; before = set(sys.modules); import toricfans.cli; "
+        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True, check=True
+    )
+    assert (result.stdout, result.stderr) == ("\n", "")
 
 
 def _unused_imports(tree):

@@ -1,11 +1,24 @@
 """Fans, stacky fans, chart gluing, and the canonical smooth cover."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toricfans.cone import NotPointed, cone_from_rays
-from toricfans.diagram import NotTight, TightDiagram, colimit, coproduct, face_diagram
-from toricfans.intlin import CokernelInvariants, IntMatrix, invariant_factors
+from toricfans.diagram import (
+    NotTight,
+    Subdiagram,
+    TightDiagram,
+    colimit,
+    coproduct,
+    extend_diagram_functional,
+    face_diagram,
+    validate_tight,
+    verify_face_embeddings,
+)
+from toricfans.errors import InternalError
+from toricfans.intlin import CokernelInvariants, IntMatrix, invariant_factors, rank
 from toricfans.monoid import gp
 from toricfans.stackyfan import (
     ChartData,
@@ -22,7 +35,8 @@ from toricfans.stackyfan import (
     validate_fan,
 )
 
-from test_diagram import P1XP1_RAYS, P2_RAYS, chart_diagram
+from randomgen import charts_of, orthant_fan, random_complete_fan_rank2, random_complete_or_affine_fan
+from test_diagram import P1XP1_RAYS, P2_RAYS, _check_extension, chart_diagram
 
 QUADRANT_FAN = Fan(2, ((0, 1), (1, 0)), ((0, 1),))
 A1_FAN = Fan(2, ((1, 0), (1, 2)), ((0, 1),))
@@ -230,6 +244,79 @@ def test_glued_charts_of_a_complete_fan_are_its_canonical_cover(rays, torus_rank
     assert sorted(index) == list(range(n))
     glued_cones = {frozenset(index[k] for k in ixs) for ixs in sf.fan.maximal_cones}
     assert glued_cones == {frozenset(ixs) for ixs in cover.fan.maximal_cones}
+
+
+FANS = {
+    "complete-rank2": random_complete_fan_rank2,
+    "sheared-orthants": orthant_fan,
+    "complete-or-affine": random_complete_or_affine_fan,
+}
+
+
+def _cone_matrices(fan):
+    return [IntMatrix.from_cols([fan.rays[i] for i in ixs], rows=fan.lattice_rank) for ixs in fan.maximal_cones]
+
+
+def test_charts_of_a_fan_lists_its_cones_once_with_identity_covers():
+    charts = charts_of(Fan(2, P2_RAYS, ((0, 1), (1, 2), (0, 2))))
+    d = charts.diagram
+    assert sorted(d.objects) == ["c", "c_0", "c_0_1", "c_0_2", "c_1", "c_1_2", "c_2"]
+    assert sorted((e.source_id, e.target_id) for e in d.morphisms) == [
+        ("c", "c_0"), ("c", "c_1"), ("c", "c_2"),
+        ("c_0", "c_0_1"), ("c_0", "c_0_2"), ("c_1", "c_0_1"), ("c_1", "c_1_2"), ("c_2", "c_0_2"), ("c_2", "c_1_2"),
+    ]
+    assert all(e.matrix is IntMatrix.identity(2) for e in d.morphisms)
+    assert all(charts.betas[i] == gp(obj) for i, obj in d.objects.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FANS)), st.integers(min_value=0, max_value=2**32 - 1))
+def test_charts_of_a_fan_glue_back_into_it(kind, seed):
+    # the paper's round trip: a fan's charts form a tight diagram, land in
+    # their colimit as faces, and glue into a stacky fan over the same rays
+    fan = FANS[kind](random.Random(seed))
+    charts = charts_of(fan)
+    d = charts.diagram
+    assert validate_tight(d) == ()
+    colim = colimit(d)
+    assert verify_face_embeddings(d, colim) == ()
+    sf = glue(charts)
+    assert validate_fan(sf.fan) == ()
+    assert sorted(sf.beta.apply(r) for r in sf.fan.rays) == sorted(fan.rays)
+    # gluing keeps each chart's lattice, so the result is smooth exactly
+    # when every cone of the fan is
+    smooth = all(invariant_factors(m) == (1,) * m.cols for m in _cone_matrices(fan))
+    assert is_smooth(sf) == smooth
+    torus_rank = group_description(sf).free_rank
+    assert torus_rank == colim.cone.ambient_rank - fan.lattice_rank
+    if all(rank(m) == m.cols for m in _cone_matrices(fan)):  # simplicial: one colimit direction per ray
+        assert torus_rank == len(fan.rays) - fan.lattice_rank
+    if smooth:
+        # the glued rays are then a basis of the colimit lattice, and sending
+        # each to the cover's basis vector of the ray beta takes it to is a
+        # lattice isomorphism carrying beta and the cones onto the cover's
+        cover = canonical_cover(fan)
+        assert invariant_factors(IntMatrix.from_cols(sf.fan.rays)) == (1,) * len(fan.rays)
+        index = [fan.rays.index(sf.beta.apply(r)) for r in sf.fan.rays]
+        glued_cones = {frozenset(index[k] for k in ixs) for ixs in sf.fan.maximal_cones}
+        assert glued_cones == {frozenset(ixs) for ixs in cover.fan.maximal_cones}
+        assert group_description(cover) == group_description(sf)
+    if len(fan.maximal_cones) == 1:  # an affine fan extends from its zero chart
+        for mode in ("arbitrary", "nonneg_positive_away"):
+            sub = Subdiagram(d, frozenset({"c"}))
+            chi = {"c": (0,) * fan.lattice_rank}
+            _check_extension(sub, chi, mode, extend_diagram_functional(sub, chi, mode))
+
+
+@pytest.mark.xfail(strict=True, raises=InternalError,
+                   reason="the last chart's processed faces have no top, so the induction has no face to extend from")
+@pytest.mark.parametrize("mode", ["arbitrary", "nonneg_positive_away"])
+@pytest.mark.parametrize("kind", ["complete-rank2", "sheared-orthants"])
+def test_extend_from_the_zero_chart_of_a_generated_complete_fan(kind, mode):
+    fan = FANS[kind](random.Random(0))
+    sub = Subdiagram(charts_of(fan).diagram, frozenset({"c"}))
+    chi = {"c": (0,) * fan.lattice_rank}
+    _check_extension(sub, chi, mode, extend_diagram_functional(sub, chi, mode))
 
 
 def test_smoothness_of_a1_cone():
