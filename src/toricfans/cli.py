@@ -91,9 +91,12 @@ def cmd_colimit(doc: Document) -> tuple[Document, int]:
     return Document("colimit", documents.encode_colimit(d, colimit(d))), 0
 
 
-def _resolve_diagram(ref, base_dir: Path):
+def _resolve_diagram(ref, input_path: str | None):
+    """The diagram a request holds or names; a name is a path relative to
+    the request file's directory, or to the working directory for stdin."""
     if not isinstance(ref, str):
         return documents.decode_diagram(ref)
+    base_dir = Path(input_path).resolve().parent if input_path else Path.cwd()
     try:
         text = (base_dir / ref).read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -104,11 +107,11 @@ def _resolve_diagram(ref, base_dir: Path):
     return documents.decode_diagram(inner.payload)
 
 
-def cmd_extend(doc: Document, base_dir: Path) -> tuple[Document, int]:
+def cmd_extend(doc: Document, input_path: str | None) -> tuple[Document, int]:
     if doc.kind != "functional-request":
         raise DocumentError(f"extend expects a functional-request document, got {doc.kind!r}")
     ref, members, chi, mode = documents.decode_functional_request(doc.payload)
-    d = _resolve_diagram(ref, base_dir)
+    d = _resolve_diagram(ref, input_path)
     try:
         sub = Subdiagram(d, frozenset(members))
     except ValueError as exc:
@@ -213,24 +216,28 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=1)(build_parser)
 
 
+@lru_cache(maxsize=256)
+def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
+    # main only reads the result; a refusal or --help raises SystemExit,
+    # which lru_cache does not keep, so it is written again on every call
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(tuple(sys.argv[1:] if argv is None else argv))
     try:
         try:
             if args.input:
-                in_path = Path(args.input)
-                text = in_path.read_text("utf-8")
-                base_dir = in_path.resolve().parent
+                text = Path(args.input).read_text("utf-8")
             else:
                 text = sys.stdin.read()
-                base_dir = Path.cwd()
             doc = documents.loads(text)
             if args.command == "validate":
                 out, code = cmd_validate(doc)
             elif args.command == "colimit":
                 out, code = cmd_colimit(doc)
             elif args.command == "extend":
-                out, code = cmd_extend(doc, base_dir)
+                out, code = cmd_extend(doc, args.input)
             elif args.command == "glue":
                 out, code = cmd_glue(doc)
             else:

@@ -17,6 +17,13 @@ facets' closure under intersection), so is_face is a lookup and join_mask
 an AND of facets; ray_indices finds the rays vectors are positive
 multiples of, and subcone reads a cone generated by some rays off them
 with no analysis at all.
+Generators that span Q^n skip the lattice layer: the double description
+runs on them directly, and when no line is left the span is everything,
+gp is the shared identity and the coordinates are the generators, so the
+record needs no Smith reduction.  A supporting functional sums the facet
+normals whose incidence holds the face, and meets_in_shared_face tries
+sums of facet normals as a functional separating two cones along the rays
+they share, which proves their intersection a face of both.
 The dual of a cone spanning a proper subspace contains the annihilator of
 the span as lines and comes back as a NonPointedCone.
 """
@@ -24,7 +31,7 @@ the span as lines and comes back as a NonPointedCone.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from operator import and_, mul
+from operator import and_, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InternalError
@@ -113,9 +120,10 @@ def _clean_generators(ambient_rank, generators):
 
 
 def _facet_normals(coords, dim):
-    """Facet normals of the cone generated by coords, which span Q^dim, and
-    the generators on each facet as a bitmask over coords: primitive normals,
-    sorted, with their masks in the same order.
+    """Facet normals of the cone generated by coords and the generators on
+    each facet as a bitmask over coords: primitive normals, sorted, with
+    their masks in the same order; None when coords do not span Q^dim,
+    decided as soon as too few generators are left to remove the lines.
 
     Double description: the normals are the extreme rays of the dual cone
     {y : c.y >= 0 for every generator c}, built up one generator at a time
@@ -136,6 +144,8 @@ def _facet_normals(coords, dim):
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []  # (normal, mask of the generators it vanishes on)
     for k, c in enumerate(coords):
+        if len(lines) > len(coords) - k:
+            return None
         bit = 1 << k
         values = [_dot(c, l) for l in lines]
         j = next((j for j, v in enumerate(values) if v), None)
@@ -170,6 +180,8 @@ def _facet_normals(coords, dim):
                     continue
                 kept.append((primitivize(tuple(vp * b - vn * a for a, b in zip(yp, yn))), common | bit))
         rays = kept
+    if lines:
+        return None
     rays.sort()
     return tuple(y for y, _ in rays), tuple(z for _, z in rays)
 
@@ -209,11 +221,32 @@ class _Analysis(Frozen):
         ))
 
     @cached_property
-    def dual_generators(self) -> tuple[tuple[int, ...], ...]:
+    def lifts(self) -> tuple[tuple[int, ...], ...]:
         """Facet normals lifted to the ambient dual lattice through the span
         basis's own row reduction, vanishing on a complement summand,
-        primitive and sorted."""
-        return tuple(sorted(primitivize(self.reduced.lift(h)) for h in self.facets))
+        primitive, in facet order (the normals themselves when the span is
+        everything and gp the identity)."""
+        if not self.lineality:
+            return self.facets
+        return tuple(primitivize(self.reduced.lift(h)) for h in self.facets)
+
+    @cached_property
+    def dual_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The lifts, sorted."""
+        return tuple(sorted(self.lifts))
+
+    @cached_property
+    def _sums(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def facet_sum(self, mask: int) -> tuple[int, ...]:
+        """The sum of the lifts of the facets holding every generator in
+        mask (zero when no facet does), held per mask."""
+        s = self._sums.get(mask)
+        if s is None:
+            on = [g for g, z in zip(self.lifts, self.incidence) if z & mask == mask]
+            s = self._sums[mask] = tuple(map(sum, zip(*on))) if on else (0,) * self.ambient_rank
+        return s
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
@@ -257,6 +290,10 @@ class _Analysis(Frozen):
 
 @lru_cache(maxsize=2048)
 def _analyse(ambient_rank: int, vecs: tuple[tuple[int, ...], ...]) -> _Analysis:
+    if len(vecs) >= ambient_rank and (found := _facet_normals(vecs, ambient_rank)):
+        # vecs span Q^n: no annihilator, gp is the identity and coordinates are vecs
+        basis = IntMatrix.identity(ambient_rank)
+        return _Analysis(ambient_rank, vecs, (), basis, reduce_basis(basis), vecs, *found)
     # vecs are clean generators, so the matrix needs no entry check
     gens = IntMatrix(len(vecs), ambient_rank, vecs)
     ann = kernel_basis(gens)
@@ -394,14 +431,13 @@ def supporting_functional(c: Cone, f: Cone) -> Functional:
     every extreme ray of c outside f.
 
     Deterministic: the primitivized sum of all facet normals of c vanishing
-    on f.  The improper face gets the zero functional.  Raises NotAFace when
-    f is not a face of c.
+    on f, the facets whose incidence holds f's rays.  The improper face gets
+    the zero functional.  Raises NotAFace when f is not a face of c.
     """
     if not is_face(c, f):
         raise NotAFace("second cone is not a face of the first")
     a = _of(c)
-    on_f = [g for g in a.dual_generators if all(_dot(g, r) == 0 for r in f.rays)]
-    chi = primitivize(tuple(sum(g[i] for g in on_f) for i in range(c.ambient_rank)))
+    chi = primitivize(a.facet_sum(a.mask_of(f.rays)))
     face_rays = set(f.rays)
     if any(_dot(chi, r) != 0 for r in f.rays):
         raise InternalError("supporting functional does not vanish on the face")
@@ -447,3 +483,31 @@ def intersection(a: Cone, b: Cone) -> Cone:
     if not isinstance(met, Cone):
         raise InternalError("intersection of pointed cones is not pointed")
     return met
+
+
+def _signs(u, rays, mask, sign):
+    """Whether u vanishes on the rays with their bit set in mask and sign * u
+    is positive on the others."""
+    return all(v == 0 if mask >> i & 1 else v * sign > 0 for i, v in enumerate(_dot(u, r) for r in rays))
+
+
+def meets_in_shared_face(a: Cone, b: Cone) -> bool:
+    """Whether a functional from the records shows that a and b meet in the
+    cone on the rays they share, a face of both; False decides nothing.
+
+    By the separation lemma (Cox, Little and Schenck, Lemma 1.2.13), some u
+    that is >= 0 on a, <= 0 on b and vanishes on exactly the shared rays
+    puts a and b on either side of the hyperplane u = 0, which meets each
+    in the face on the shared rays.  The candidates are s_a, -s_b and
+    s_a - s_b, where s_x is the facet_sum of x over the shared rays.
+    """
+    if a.ambient_rank != b.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    ra, rb = _of(a), _of(b)
+    ma = index_mask([i for i, r in enumerate(a.rays) if r in rb.index])
+    mb = index_mask([i for i, r in enumerate(b.rays) if r in ra.index])
+    sa, sb = ra.facet_sum(ma), rb.facet_sum(mb)
+    return any(
+        _signs(u, a.rays, ma, 1) and _signs(u, b.rays, mb, -1)
+        for u in (sa, tuple(-x for x in sb), tuple(map(sub, sa, sb)))
+    )

@@ -24,7 +24,9 @@ already computed use the constructor, which trusts its entries.
 
 IntMatrix.identity hands out one instance per size, known by reference
 (any other identity by its entries): products with an identity return the
-other factor, and an identity needs no Smith reduction.
+other factor, an identity needs no Smith reduction and its reduce_basis is
+shared, and so is not reduced again.  A matrix with no rows or no columns
+has no invariant factors and needs no Smith reduction either.
 """
 
 from __future__ import annotations
@@ -327,6 +329,8 @@ def _diagonal(a: IntMatrix, w) -> tuple[int, ...]:
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith form, in divisibility order."""
+    if not (a.rows and a.cols):
+        return ()
     if _is_identity(a):
         return (1,) * a.rows
     return _diagonal(a, _smith(a, False, False)[1])
@@ -463,6 +467,8 @@ class ReducedBasis(NamedTuple):
         zero, so a column of u @ target is in the span when it is zero there."""
         if self.u.cols != target.rows:
             raise ValueError("row count mismatch")
+        if self.u is self.echelon is IntMatrix.identity(self.u.cols):
+            return target
         ech, k = self.echelon.entries, self.echelon.cols
         rhs = self.u @ target
         out_cols = []
@@ -481,9 +487,18 @@ class ReducedBasis(NamedTuple):
         return IntMatrix(k, target.cols, tuple(tuple(x[i] for x in out_cols) for i in range(k)))
 
 
+@lru_cache(maxsize=64)
+def _reduced_identity(n: int) -> ReducedBasis:
+    return ReducedBasis(IntMatrix.identity(n), IntMatrix.identity(n))
+
+
 def reduce_basis(basis: IntMatrix) -> ReducedBasis:
     """Row reduce basis once, for ReducedBasis.coordinates and lift; raises
-    DependentColumns unless its columns are independent."""
+    DependentColumns unless its columns are independent.  An identity
+    basis gets the one shared ReducedBasis of its size, whose u and
+    echelon are the shared identity, so coordinates in it are the target."""
+    if _is_identity(basis):
+        return _reduced_identity(basis.cols)
     u, ech, k = _row_echelon_transform(basis, False)
     if k != basis.cols:
         raise DependentColumns("columns are linearly dependent")

@@ -6,12 +6,15 @@ elimination for ranks and determinants, minor gcds for saturation, subset search
 supporting functionals, closures of ray subsets for faces, Caratheodory
 search for cone membership, a scan of every entry for the Smith pivot,
 set inclusion with nothing between for face covers, and a subdiagram's
-members built into a diagram of their own and validated in full.  Three
+members built into a diagram of their own and validated in full.  Six
 keep a longer library route as the reference for a shorter one: a lift
 off a saturated basis through an explicit complement summand, T1's
 saturation test on the image of gp whatever the map's invariant factors,
-and coordinates in a reduced basis through a pivot list read off its
-echelon form, with every row checked after the back-substitution.
+coordinates in a reduced basis through a pivot list read off its
+echelon form, with every row checked after the back-substitution, a cone
+record by Smith reduction whether or not its generators span, fan
+validation with every pair's exact intersection, and supporting
+functionals by a dot-product scan of the dual generators.
 """
 
 from __future__ import annotations
@@ -19,13 +22,19 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from toricfans.cone import is_face
+from unittest import mock
+
+from toricfans import stackyfan
+from toricfans.cone import Cone, _facet_normals, dual_cone, is_face
 from toricfans.diagram import DiagramMorphism, TightDiagram
 from toricfans.intlin import (
     IntMatrix,
     NotInLattice,
+    ReducedBasis,
+    _row_echelon_transform,
     complement_summand,
     invariant_factors,
+    kernel_basis,
     rank,
     reduce_basis,
 )
@@ -350,3 +359,35 @@ def face_morphism_violations(f):
     if not violations and img == f.target:
         violations.append("face not proper")
     return tuple(violations)
+
+
+def smith_route_record(ambient_rank, vecs):
+    """The fields of the cone record of clean generators vecs, in the order
+    of cone._Analysis after ambient_rank, by the route that does not ask
+    whether vecs span: the annihilator and the saturated span by Smith
+    reduction, the span row reduced afresh (never the shared identity
+    reduction), coordinates by the full check, and the facets in them."""
+    gens = IntMatrix(len(vecs), ambient_rank, vecs)
+    ann = kernel_basis(gens)
+    basis = kernel_basis(ann.transpose())
+    u, echelon, _ = _row_echelon_transform(basis, False)
+    reduced = ReducedBasis(u, echelon)
+    coords = tuple(coordinates_by_full_check(reduced, gens.transpose()).columns())
+    facets, incidence = _facet_normals(coords, basis.cols)
+    return vecs, tuple(sorted(ann.columns())), basis, reduced, coords, facets, incidence
+
+
+def validate_fan_by_intersections(fan):
+    """validate_fan with the separating-functional shortcut turned off, so
+    every pair of maximal cones gets its exact intersection."""
+    with mock.patch.object(stackyfan, "meets_in_shared_face", lambda a, b: False):
+        return stackyfan.validate_fan(fan)
+
+
+def supporting_functional_by_scan(c, f):
+    """The coefficients of the primitive sum of the dual generators of c that
+    pair to zero with every ray of the face f, found by pairing each one."""
+    d = dual_cone(c)
+    gens = d.rays if isinstance(d, Cone) else d.generators
+    on_f = [g for g in gens if all(dot(g, r) == 0 for r in f.rays)]
+    return _primitive(tuple(sum(g[i] for g in on_f) for i in range(c.ambient_rank)))

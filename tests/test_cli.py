@@ -7,6 +7,7 @@ entry point.
 
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -691,14 +692,53 @@ def test_one_parser_serves_calls_like_fresh_ones(monkeypatch):
         ["validate", "--input", DOUBLED_PLANE],
     ]
     cli_module._parser.cache_clear()
+    cli_module._parse.cache_clear()
     shared = _calls_on_fresh_streams(monkeypatch, sequence)
     assert cli_module._parser.cache_info().misses == 1
     monkeypatch.setattr(cli_module, "_parser", build_parser)
+    monkeypatch.setattr(cli_module, "_parse", lambda argv: build_parser().parse_args(argv))
     fresh = _calls_on_fresh_streams(monkeypatch, sequence)
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, ("exit", 2), 0, ("exit", 0), 0, ("exit", 2), ("exit", 0), 1]
     assert "the following arguments are required: --which" in shared[1][2]
     assert shared[3][1].startswith("usage: toricfans") and shared[3][2] == ""
+
+
+def test_a_command_line_is_parsed_once_and_a_refusal_every_time(capsys):
+    cli_module._parse.cache_clear()
+    argv = ["validate", "--input", QUADRANT_DIAGRAM]
+    assert invoke(argv, capsys)[0] == invoke(list(argv), capsys)[0] == 0
+    assert cli_module._parse.cache_info().hits == 1
+    for refused in (["check", "--input", A1_FAN], ["--help"]):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(refused)
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and (outputs[0].out or outputs[0].err)
+    assert cli_module._parse.cache_info().currsize == 1
+
+
+def test_the_working_directory_is_read_only_to_resolve_a_reference(tmp_path):
+    # stdin needs no working directory; a reference relative to a deleted one is an exit-2 error
+    diagram = Path(QUADRANT_DIAGRAM).read_text("utf-8")
+    request = json.dumps({"kind": "functional-request", "version": "1",
+                          "payload": extend_request("quadrant.json", ["f"], {"f": [0, 0]})})
+    probe = (
+        "import io, os, sys, toricfans.cli as cli; gone = sys.argv[1]; os.chdir(gone); os.rmdir(gone); "
+        "sys.stdin = io.StringIO(sys.argv[2]); code = cli.main(sys.argv[3:]); print(code)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli_module.__file__).parent.parent),
+                                                        *filter(None, [os.environ.get("PYTHONPATH")])])}
+    results = []
+    for k, (text, argv) in enumerate([(diagram, ["validate"]), (request, ["extend"])]):
+        gone = tmp_path / f"gone{k}"
+        gone.mkdir()
+        proc = subprocess.run([sys.executable, "-c", probe, str(gone), text, *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        results.append((proc.stdout.splitlines()[-1], proc.stderr))
+    assert results[0] == ("0", "")
+    assert results[1][0] == "2" and results[1][1].startswith("error: ") and results[1][1].count("\n") == 1
 
 
 def test_run_raises_system_exit(capsys):

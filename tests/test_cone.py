@@ -25,14 +25,17 @@ from toricfans.cone import (
     subcone,
     supporting_functional,
 )
-from toricfans.intlin import IntMatrix, NotInLattice, reduce_basis
+from toricfans import intlin as intlin_module
+from toricfans.intlin import IntMatrix, NotInLattice, primitivize, reduce_basis
 
 from oracles import (
     caratheodory_member,
     extreme_generators,
     face_ray_sets,
     fraction_free_rank,
+    smith_route_record,
     subset_facets,
+    supporting_functional_by_scan,
 )
 from randomgen import random_pointed_cone
 
@@ -514,3 +517,61 @@ def test_face_join_is_the_smallest_face_containing_both(seed):
     joint = set(f.rays) | set(g.rays)
     want = min((h for h in fs if joint <= set(h.rays)), key=lambda h: (len(h.rays), h.rays))
     assert face_join(c, f, g) == want
+
+
+@st.composite
+def generator_sets(draw):
+    """(rank, generators) in ranks 1-4: random vectors, which mostly span,
+    or images of random vectors under a random map of lower rank; pointed or
+    not, with zeros, repeats and multiples of some generators."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.sampled_from([n, n, *range(n)]))
+    entries = st.integers(min_value=-2, max_value=2)
+    m = [draw(st.tuples(*[entries] * k)) for _ in range(n)]
+    ws = draw(st.lists(st.tuples(*[entries] * k), max_size=7))
+    vecs = [tuple(sum(a * b for a, b in zip(row, w)) for row in m) for w in ws]
+    if vecs:
+        scales = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=2))
+        vecs += [tuple(c * x for x in draw(st.sampled_from(vecs))) for c in scales]
+    return n, vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets())
+def test_a_record_equals_the_smith_route_record(case):
+    n, generators = case
+    vecs = cone_module._clean_generators(n, generators)
+    record = cone_module._analyse.__wrapped__(n, vecs)
+    expected = smith_route_record(n, vecs)
+    assert tuple(getattr(record, f) for f in cone_module._Analysis._fields[1:]) == expected
+    reduced = expected[3]
+    assert record.lifts == tuple(primitivize(reduced.lift(h)) for h in record.facets)
+    assert record.dual_generators == tuple(sorted(record.lifts))
+    if not record.lineality:
+        assert record.basis is IntMatrix.identity(n) and record.reduced is reduce_basis(record.basis)
+
+
+def test_the_record_of_a_full_rank_set_needs_no_smith_reduction(monkeypatch):
+    calls = []
+    smith = intlin_module._smith
+    monkeypatch.setattr(intlin_module, "_smith", lambda *args: calls.append(args) or smith(*args))
+    cone_module._analyse.cache_clear()
+    c = cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2), (2, 2, 4)])
+    fs = faces(c)
+    assert gp(c) is IntMatrix.identity(3)
+    assert span_coordinates(c, IntMatrix.identity(3)) is IntMatrix.identity(3)
+    assert dual_cone(c).rays == ((0, 0, 1), (0, 2, -1), (2, 0, -1))
+    assert fs[1].rays == ((0, 1, 0),) and supporting_functional(c, fs[1]).coefficients == (1, 0, 0)
+    assert calls == []
+    # a set that does not span is told apart early and takes the Smith route
+    assert cone_module._facet_normals(((1, 0, 0), (0, 1, 0), (1, 1, 0)), 3) is None
+    assert gp(cone_from_rays(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])).cols == 2
+    assert calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_supporting_functional_equals_the_dot_product_scan(seed):
+    c = random_pointed_cone(random.Random(seed))
+    for f in faces(c):
+        assert supporting_functional(c, f).coefficients == supporting_functional_by_scan(c, f)

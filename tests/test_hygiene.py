@@ -2,16 +2,20 @@
 names imported across modules, no unbounded caches, no jsonschema import,
 even when a schema rejects a document, no dataclasses import, nor inspect
 loaded by importing the command line, no unused imports, and one root
-class for structural failures."""
+class for structural failures; and a time limit on every test."""
 
 import ast
 import importlib
 import inspect
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import conftest
 from toricfans.errors import DomainError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "toricfans"
@@ -178,3 +182,11 @@ def test_structural_failures_are_domain_errors():
     for name in ("intlin", "documents"):
         errors = _value_errors(name)
         assert errors and not any(issubclass(cls, DomainError) for cls in errors)
+
+
+def test_each_test_runs_under_a_time_limit():
+    remaining = signal.alarm(0)
+    signal.alarm(remaining)
+    assert 0 < remaining <= conftest.TEST_TIME_LIMIT_S
+    with pytest.raises(pytest.fail.Exception, match=f"test ran longer than {conftest.TEST_TIME_LIMIT_S} s"):
+        conftest._out_of_time(signal.SIGALRM, None)

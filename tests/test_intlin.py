@@ -92,6 +92,27 @@ def test_smith_empty_shapes():
         assert invariant_factors(a) == ()
 
 
+def test_an_empty_shape_or_an_identity_needs_no_smith_reduction(monkeypatch):
+    # origin edges have matrices with no rows or no columns; identity edges share one reduction per size
+    from toricfans import intlin as intlin_module
+
+    def refuse(*args):
+        raise AssertionError("_smith called")
+
+    monkeypatch.setattr(intlin_module, "_smith", refuse)
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        assert invariant_factors(IntMatrix.zeros(*shape)) == ()
+    assert rank(IntMatrix.identity(4)) == 4
+    shared = reduce_basis(IntMatrix.identity(3))
+    assert shared is reduce_basis(M([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert shared.u is shared.echelon is IntMatrix.identity(3)
+    target = M([[1, 2], [3, 4], [5, 6]])
+    assert shared.coordinates(target) is target
+    assert shared.lift((4, 5, 6)) == (4, 5, 6)
+    with pytest.raises(ValueError):
+        shared.coordinates(M([[1, 2]]))
+
+
 def test_smith_recomposition_example():
     a = M([[4, 7, 2], [0, -3, 6]])
     u, d, v = smith_normal_form(a)

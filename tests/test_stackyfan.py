@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricfans.cone import NotPointed, cone_from_rays
+from toricfans import stackyfan as stackyfan_module
+from toricfans.cone import NotPointed, cone_from_rays, intersection, is_face, meets_in_shared_face
 from toricfans.diagram import (
     NotTight,
     Subdiagram,
@@ -18,7 +19,7 @@ from toricfans.diagram import (
     verify_face_embeddings,
 )
 from toricfans.errors import InternalError
-from toricfans.intlin import CokernelInvariants, IntMatrix, invariant_factors, rank
+from toricfans.intlin import CokernelInvariants, IntMatrix, invariant_factors, primitivize, rank
 from toricfans.monoid import gp
 from toricfans.stackyfan import (
     ChartData,
@@ -35,6 +36,7 @@ from toricfans.stackyfan import (
     validate_fan,
 )
 
+from oracles import validate_fan_by_intersections
 from randomgen import charts_of, orthant_fan, random_complete_fan_rank2, random_complete_or_affine_fan
 from test_diagram import P1XP1_RAYS, P2_RAYS, _check_extension, chart_diagram
 
@@ -393,3 +395,63 @@ def test_glued_coproducts_give_valid_stacky_fans(vecs_a, vecs_b):
         assert sf.beta @ colim.embeddings[i] == betas[i]
     cover = canonical_cover(sf.fan)
     assert is_smooth(cover)
+
+
+def _random_fan(rng):
+    """A generated fan, valid, sometimes with one more maximal cone on its
+    rays; or random maximal cones on random rays, which mostly overlap and
+    are often lower-dimensional or not pointed.  Either may get copies of
+    some maximal cones on repeated rays (doubled cones)."""
+    if rng.random() < 0.5:
+        fan = random_complete_or_affine_fan(rng)
+        n, rays, cones = fan.lattice_rank, list(fan.rays), [list(c) for c in fan.maximal_cones]
+        if rng.random() < 0.3:
+            cones.append(rng.sample(range(len(rays)), rng.randint(1, min(len(rays), n))))
+    else:
+        n = rng.randint(1, 3)
+        rays = [r for r in (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 6))) if any(r)]
+        rays = [primitivize(r) if rng.random() < 0.8 else r for r in rays] or [(1,) * n]
+        cones = [rng.sample(range(len(rays)), rng.randint(1, min(len(rays), n + 1))) for _ in range(rng.randint(1, 4))]
+    for c in rng.sample(cones, rng.randint(0, min(2, len(cones)))):
+        cones.append([len(rays) + k for k in range(len(c))])
+        rays += [rays[i] for i in c]
+    return Fan(n, tuple(rays), tuple(map(tuple, cones)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_fan_verdicts_equal_the_all_intersections_verdicts(seed):
+    fan = _random_fan(random.Random(seed))
+    assert validate_fan(fan) == validate_fan_by_intersections(fan)
+    cones = []
+    for k in range(len(fan.maximal_cones)):
+        try:
+            cones.append(fan.cone(k))
+        except NotPointed:
+            pass
+    for a in cones:
+        for b in cones:
+            if meets_in_shared_face(a, b):
+                shared = cone_from_rays(fan.lattice_rank, set(a.rays) & set(b.rays))
+                assert intersection(a, b) == shared and is_face(a, shared) and is_face(b, shared)
+
+
+@pytest.mark.parametrize("kind", sorted(FANS))
+def test_a_generated_complete_fan_is_validated_without_intersections(kind, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("intersection computed")
+
+    monkeypatch.setattr(stackyfan_module, "intersection", refuse)
+    for seed in range(5):
+        assert validate_fan(FANS[kind](random.Random(seed))) == ()
+
+
+def test_the_functional_decides_only_what_it_proves():
+    # overlapping cones and two cones over one ray set are left to the exact intersection
+    overlap = Fan(2, ((1, 0), (1, 2), (1, 1), (0, 1)), ((0, 1), (2, 3)))
+    assert not meets_in_shared_face(overlap.cone(0), overlap.cone(1))
+    doubled = Fan(2, ((1, 0), (0, 1), (1, 0), (0, 1)), ((0, 1), (2, 3)))
+    assert meets_in_shared_face(doubled.cone(0), doubled.cone(1))
+    assert validate_fan(doubled) == validate_fan_by_intersections(doubled) == ()
+    with pytest.raises(ValueError):
+        meets_in_shared_face(cone_from_rays(1, [(1,)]), cone_from_rays(2, [(1, 0)]))
