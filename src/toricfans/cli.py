@@ -54,12 +54,16 @@ def _structured(violations, default: str) -> list[dict]:
     return out
 
 
-def _reports_block(sf: StackyFan) -> dict:
+def _group_report(sf: StackyFan) -> dict:
     g = group_description(sf)
+    return {"torus_rank": g.free_rank, "torsion": list(g.torsion)}
+
+
+def _reports_block(sf: StackyFan) -> dict:
     return {
         "is_smooth": is_smooth(sf),
         "is_cohomologically_affine": is_cohomologically_affine(sf),
-        "group_description": {"torus_rank": g.free_rank, "torsion": list(g.torsion)},
+        "group_description": _group_report(sf),
     }
 
 
@@ -167,8 +171,7 @@ def cmd_check(doc: Document, which: str) -> tuple[Document, int]:
     elif which == "cohaffine":
         result = is_cohomologically_affine(sf)
     else:
-        g = group_description(sf)
-        result = {"torus_rank": g.free_rank, "torsion": list(g.torsion)}
+        result = _group_report(sf)
     return Document("report", {"ok": True, "which": which, "result": result}), 0
 
 

@@ -67,7 +67,7 @@ class Functional(NamedTuple):
 class Cone(Frozen):
     """Pointed cone, canonical form: primitive extreme rays, lex-sorted.
 
-    Build through cone_from_rays; the constructor trusts its input.
+    Build through cone_from_rays; the constructor checks ray lengths only.
     """
 
     __slots__ = ("ambient_rank", "rays", "__dict__")
@@ -123,7 +123,7 @@ def _facet_normals(coords, dim):
     """Facet normals of the cone generated by coords and the generators on
     each facet as a bitmask over coords: primitive normals, sorted, with
     their masks in the same order; None when coords do not span Q^dim,
-    decided as soon as too few generators are left to remove the lines.
+    which is when some line is left after the last generator.
 
     Double description: the normals are the extreme rays of the dual cone
     {y : c.y >= 0 for every generator c}, built up one generator at a time
@@ -144,8 +144,6 @@ def _facet_normals(coords, dim):
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []  # (normal, mask of the generators it vanishes on)
     for k, c in enumerate(coords):
-        if len(lines) > len(coords) - k:
-            return None
         bit = 1 << k
         values = [_dot(c, l) for l in lines]
         j = next((j for j, v in enumerate(values) if v), None)
@@ -235,18 +233,11 @@ class _Analysis(Frozen):
         """The lifts, sorted."""
         return tuple(sorted(self.lifts))
 
-    @cached_property
-    def _sums(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
     def facet_sum(self, mask: int) -> tuple[int, ...]:
         """The sum of the lifts of the facets holding every generator in
-        mask (zero when no facet does), held per mask."""
-        s = self._sums.get(mask)
-        if s is None:
-            on = [g for g, z in zip(self.lifts, self.incidence) if z & mask == mask]
-            s = self._sums[mask] = tuple(map(sum, zip(*on))) if on else (0,) * self.ambient_rank
-        return s
+        mask (zero when no facet does)."""
+        on = [g for g, z in zip(self.lifts, self.incidence) if z & mask == mask]
+        return tuple(map(sum, zip(*on))) if on else (0,) * self.ambient_rank
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
@@ -383,7 +374,7 @@ def ray_indices(c: Cone, generators: Sequence[tuple[int, ...]]) -> tuple[int, ..
     """The index in c.rays of the ray each generator (a tuple of ints) is a
     positive multiple of; None when some generator is no such multiple."""
     index = _of(c).index
-    found = tuple(index[g] if g in index else index.get(primitivize(g)) for g in generators)
+    found = tuple(index.get(primitivize(g)) for g in generators)
     return None if None in found else found
 
 

@@ -292,7 +292,7 @@ def _analyse(d: TightDiagram) -> DiagramAnalysis:
         maps[x][x] = tuple(range(len(objects[x].rays)))
         for y, f in succ[x]:
             step = f.ray_map
-            for tgt, tail in sorted(comp[y].items()):
+            for tgt, tail in comp[y].items():
                 candidate = tail @ f.map
                 known = comp[x].get(tgt)
                 if known is None:
@@ -419,9 +419,8 @@ def is_join_closed(sub: Subdiagram):
     members pass T1 and T3 as the parent does, so that is T2 (a member among
     the realizers of each face of a member) and T4 (a top element of each
     member pair's common below-set, cut down to the members).  A pair with
-    one member below the other is not checked: in a tight parent the lower
-    one's image lies in the upper one's, so the join is the upper one's
-    image, which it realizes.
+    one member below the other needs no case of its own: in every parent
+    above both the join is the upper one's image, which it realizes.
     """
     d = sub.parent
     analysis = d.analysis
@@ -429,8 +428,7 @@ def is_join_closed(sub: Subdiagram):
     comp, images, realizers = analysis.composites, analysis.images, analysis.realizers
     order, below = analysis.order, analysis.below
     members = sorted(sub.member_ids)
-    bit = {i: 1 << k for k, i in enumerate(order) if i in sub.member_ids}
-    inside = sum(bit.values())
+    inside = sum(1 << k for k, i in enumerate(order) if i in sub.member_ids)
     realized = all(any(x in sub.member_ids for x in xs) for p in members for xs in realizers[p].values())
     if not realized or any(
         _top(below[a] & below[b] & inside, order, below) is None
@@ -440,8 +438,6 @@ def is_join_closed(sub: Subdiagram):
         raise NotTightSubdiagram("members do not form a tight diagram")
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            if below[b] & bit[a] or below[a] & bit[b]:
-                continue  # the join is the upper one's image, which it realizes
             for p in sorted(comp[a].keys() & comp[b].keys()):
                 holders = realizers[p][join_mask(d.objects[p], images[a, p] | images[b, p])]
                 if not any(x in sub.member_ids for x in holders):
@@ -460,15 +456,18 @@ def extend_diagram_functional(
     Follows the inductive proof: repeatedly take the maximal outside object b
     (lexicographically smallest id on ties); when nothing processed sits
     above b, extend from the maximum processed face D_m of b (existence and
-    uniqueness checked); otherwise b's value is forced by restriction.  The
-    down-set of b then fills in by restriction.  In positive mode the result
-    is >= 0 on every ray of every object and >= 1 on every ray whose colimit
-    image lies outside the members' images.
+    uniqueness checked), or the zero functional from a realizer of b's zero
+    face when none is processed; otherwise b's value is forced by
+    restriction.  The down-set of b then fills in by restriction.  In
+    positive mode the result is >= 0 on every ray of every object and >= 1
+    on every ray whose colimit image lies outside the members' images.
 
     chi maps member id to int coefficients in that member's ambient dual;
     floats and bools raise TypeError.  The family is kept as one-row
     matrices, so restriction along a composite is a product.
-    Raises NotJoinClosed, IncompatibleFamily, NegativeOnSub.
+    Raises NotJoinClosed, NegativeOnSub and IncompatibleFamily, also for
+    members disagreeing on an outside face below both, which only the
+    colimit sees; InternalError where the induction breaks its invariants.
     """
     if mode not in ("arbitrary", "nonneg_positive_away"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -515,16 +514,15 @@ def extend_diagram_functional(
                 dm = _top(processed_faces, order, below)
                 if dm is None:
                     raise InternalError(f"no unique maximum processed face of {b!r}")
-                morphism = FaceMorphism(d.objects[dm], d.objects[b], comp[dm][b])
-                psi = Functional(values[dm].row(0))
-            else:
-                origin = cone_from_rays(0, [])
-                morphism = FaceMorphism(origin, d.objects[b], IntMatrix.zeros(d.objects[b].ambient_rank, 0))
-                psi = Functional(())
+                psi = values[dm].row(0)
+            else:  # the zero functional on a realizer of b's zero face, which T2 provides
+                dm = analysis.realizers[b][0][0]
+                psi = (0,) * d.objects[dm].ambient_rank
+            morphism = FaceMorphism(d.objects[dm], d.objects[b], comp[dm][b])
             try:
-                extended = extend_functional(morphism, psi, mode).coefficients
-            except NegativeOnFace as exc:  # family was checked, so only forced values trip this
-                raise IncompatibleFamily(str(exc)) from exc
+                extended = extend_functional(morphism, Functional(psi), mode).coefficients
+            except NegativeOnFace as exc:
+                raise InternalError(f"extension of {b!r} from {dm!r}: {exc}") from exc
             values[b] = IntMatrix(1, len(extended), (extended,))
         current |= bit[b]
         for x in _ids(below[b] & ~current, order):
@@ -540,7 +538,7 @@ def extend_diagram_functional(
     colim = analysis.colimit
     for i in members:
         if row @ colim.embeddings[i] != values[i] @ gp(d.objects[i]):
-            raise IncompatibleFamily("family does not descend to the colimit")
+            raise InternalError(f"the descended functional does not restrict to member {i!r}")
 
     phi = Functional(row.row(0))
     if mode == "nonneg_positive_away":

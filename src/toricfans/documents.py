@@ -116,7 +116,8 @@ def compile_schema(root: dict) -> Callable[[object], tuple | None]:
     integer), ``properties``, ``required``, ``additionalProperties`` (a
     schema only where there are no properties), ``items``, ``minimum``,
     ``pattern``, ``enum`` (of strings), ``oneOf`` of two branches and a lone
-    local ``$ref`` into the root's ``$defs``.  Each keyword constrains only
+    local ``$ref`` into the root's ``$defs``, false only as the value of
+    ``additionalProperties`` or ``items``.  Each keyword constrains only
     instances of its own type, as in the draft.  Anything else raises
     InternalError here, not at check time.
 
@@ -197,8 +198,6 @@ class _Writer:
     def write(self, s) -> str | None:
         if s is True or s == {}:
             return None
-        if s is False:
-            return self.function(["return ((), None, x, None)"])
         if not isinstance(s, dict) or s.keys() - _KEYWORDS:
             raise InternalError(f"unsupported schema keywords {sorted(s.keys() - _KEYWORDS)}"
                                 if isinstance(s, dict) else f"not a schema: {s!r}")
@@ -261,14 +260,11 @@ class _Writer:
         if s.get("items", False) is not False and (fn := self.node(s["items"])):
             t = s["items"]
             loop = ["for i, v in enumerate(x):", f"    if {self.fails(t, fn, 'v')}: return _at(i, e)"]
-            if self.int_verdict(t):  # a plain pass first; the failing index is looked for after a failure
-                loop = ["for v in x:", f"    if {self.fails(t, fn, 'v')}: break", "else: return None", *loop]
             body += within("list", loop)
         return self.function(body) if body else None
 
 
 _MESSAGES = {  # jsonschema 4.26's, from the failing instance and the error's value
-    None: lambda x, v: f"False schema does not allow {x!r}",
     "type": lambda x, v: f"{x!r} is not of type {v!r}",
     "enum": lambda x, v: f"{x!r} is not one of {v!r}",
     "minimum": lambda x, v: f"{x!r} is less than the minimum of {v!r}",

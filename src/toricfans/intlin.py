@@ -211,8 +211,7 @@ def _negate_row(a, i):
 
 def _find_pivot(a, t, m, n):
     """Smallest nonzero absolute value in a[t:, t:]; ties go to the lowest
-    row index, then the lowest column index (row-major scan order).  No value
-    is smaller than 1, so the first unit met ends the scan."""
+    row index, then the lowest column index (row-major scan order)."""
     best = where = None
     for i in range(t, m):
         row = a[i]
@@ -220,8 +219,6 @@ def _find_pivot(a, t, m, n):
             v = row[j]
             if v:
                 v = -v if v < 0 else v
-                if v == 1:
-                    return i, j
                 if best is None or v < best:
                     best, where = v, (i, j)
     return where

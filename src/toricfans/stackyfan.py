@@ -161,11 +161,8 @@ def glue(charts: ChartData) -> StackyFan:
     beta = analysis.descend(charts.betas, charts.target_rank)
 
     distinct = {frozenset(c.rays) for c in analysis.object_images.values()}
-    keep = sorted(
-        (s for s in distinct if not any(s < t for t in distinct)),
-        key=lambda s: sorted(s),
-    )
-    fan_rays = sorted(set().union(*keep)) if keep else []
+    keep = [s for s in distinct if not any(s < t for t in distinct)]
+    fan_rays = sorted(set().union(*keep))
     ray_index = {r: k for k, r in enumerate(fan_rays)}
     maximal_cones = sorted(tuple(sorted(ray_index[r] for r in s)) for s in keep)
     fan = Fan(analysis.colimit.cone.ambient_rank, tuple(fan_rays), tuple(maximal_cones))
@@ -205,6 +202,5 @@ def canonical_cover(f: Fan) -> StackyFan:
     if rank(mat) != f.lattice_rank:
         raise RaysDoNotSpan("fan rays do not span the lattice")
     n = len(f.rays)
-    basis = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    cover = Fan(n, basis, f.maximal_cones)
+    cover = Fan(n, IntMatrix.identity(n).entries, f.maximal_cones)
     return StackyFan(cover, mat)

@@ -5,8 +5,10 @@ library paths under test: the triple-loop matrix product, fraction-free
 elimination for ranks and determinants, minor gcds for saturation, subset search for facets and
 supporting functionals, closures of ray subsets for faces, Caratheodory
 search for cone membership, a scan of every entry for the Smith pivot,
-set inclusion with nothing between for face covers, and a subdiagram's
-members built into a diagram of their own and validated in full.  Six
+set inclusion with nothing between for face covers, a subdiagram's
+members built into a diagram of their own and validated in full, gcd
+steps for the rank and index of a lattice, and a diagram's full
+per-morphism coequalizer for its colimit.  Six
 keep a longer library route as the reference for a shorter one: a lift
 off a saturated basis through an explicit complement summand, T1's
 saturation test on the image of gp whatever the map's invariant factors,
@@ -391,3 +393,70 @@ def supporting_functional_by_scan(c, f):
     gens = d.rays if isinstance(d, Cone) else d.generators
     on_f = [g for g in gens if all(dot(g, r) == 0 for r in f.rays)]
     return _primitive(tuple(sum(g[i] for g in on_f) for i in range(c.ambient_rank)))
+
+
+def lattice_pivots(vectors, dim):
+    """The diagonal of a triangular basis of the lattice that integer vectors
+    of length dim generate, found coordinate by coordinate with gcd steps
+    among the vectors that vanish before it: its length is the lattice's
+    rank, and at rank dim its product is the index in Z^dim up to sign."""
+    rest = [list(v) for v in vectors]
+    pivots = []
+    for i in range(dim):
+        live = [v for v in rest if v[i]]
+        rest = [v for v in rest if not v[i]]
+        while len(live) > 1:
+            p = min(live, key=lambda v: abs(v[i]))
+            kept = [p]
+            for v in live:
+                if v is not p:
+                    q = v[i] // p[i]
+                    w = [a - q * b for a, b in zip(v, p)]
+                    (kept if w[i] else rest).append(w)
+            live = kept
+        if live:
+            pivots.append(live[0][i])
+    return pivots
+
+
+def coequalizer_relations(d):
+    """The full per-morphism coequalizer of a diagram's group completions,
+    presented on ⊕ gp(x) over every object in id order: each object's offset
+    into it, its rank, and one relation ι_y(g v) − ι_x(v) for every edge
+    x -> y and every basis vector v of gp(x), with g the edge on gp bases
+    (coordinates by the full check)."""
+    offsets, total = {}, 0
+    for i in sorted(d.objects):
+        offsets[i] = total
+        total += gp(d.objects[i]).cols
+    relations = []
+    for e in d.morphisms:
+        gx, gy = gp(d.objects[e.source_id]), gp(d.objects[e.target_id])
+        step = coordinates_by_full_check(reduce_basis(gy), e.matrix @ gx)
+        for j in range(gx.cols):
+            rel = [0] * total
+            for k, v in enumerate(step.col(j)):
+                rel[offsets[e.target_id] + k] = v
+            rel[offsets[e.source_id] + j] = -1
+            relations.append(tuple(rel))
+    return offsets, total, relations
+
+
+def colimit_against_coequalizer(d, c):
+    """(cocone, unimodular) for a colimit result c of d: whether c's
+    embeddings, stacked in id order as E, kill every coequalizer relation,
+    so they commute along every edge and not only at the maximal objects;
+    and whether the map E induces from the coequalizer's free part, ⊕ gp(x)
+    modulo the saturated relations, to Z^L is an isomorphism: the relations
+    have rank total − L and the columns of E generate Z^L."""
+    _, total, relations = coequalizer_relations(d)
+    cols = [col for i in sorted(d.objects) for col in c.embeddings[i].columns()]
+    L = c.cone.ambient_rank
+    cocone = all(
+        all(sum(col[r] * x for col, x in zip(cols, rel)) == 0 for r in range(L)) for rel in relations
+    )
+    onto = lattice_pivots(cols, L)
+    unimodular = len(lattice_pivots(relations, total)) == total - L and len(onto) == L and all(
+        abs(p) == 1 for p in onto
+    )
+    return cocone, unimodular

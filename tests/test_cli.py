@@ -209,6 +209,19 @@ def test_extend_reports_negative_family(tmp_path, capsys):
     assert payload(out)["error"] == "NegativeOnSub"
 
 
+def test_extend_reports_a_member_functional_of_the_wrong_length(tmp_path, capsys):
+    req = write_doc(
+        tmp_path / "req.json",
+        "functional-request",
+        extend_request(QUADRANT_DIAGRAM, ["f", "f_1"], {"f": [0, 0], "f_1": [1, 0, 0]}),
+    )
+    code, out, err = invoke(["extend", "--input", req], capsys)
+    assert (code, err) == (1, "")
+    assert payload(out) == {
+        "ok": False, "error": "IncompatibleFamily", "detail": "coefficients for 'f_1' have the wrong length",
+    }
+
+
 def test_extend_rejects_unknown_member(tmp_path, capsys):
     req = write_doc(
         tmp_path / "req.json",

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from toricfans import cone as cone_module
+from toricfans import diagram as diagram_module
 from toricfans import documents
 from toricfans.cone import Functional, NotPointed, cone_from_rays, faces
 from toricfans.diagram import (
     ColimitResult,
+    DiagramAnalysis,
     DiagramMorphism,
     IncompatibleFamily,
     NegativeOnSub,
@@ -29,10 +31,19 @@ from toricfans.diagram import (
 )
 from toricfans.errors import InternalError
 from toricfans.intlin import IntMatrix, invariant_factors, reduce_basis
-from toricfans.monoid import gp
+from toricfans.monoid import NegativeOnFace, gp
 
-from oracles import cover_pairs, induced_subdiagram
-from randomgen import below_sets, paraboloid_cone, random_pointed_cone, random_tight_diagram
+from oracles import colimit_against_coequalizer, cover_pairs, induced_subdiagram
+from randomgen import (
+    below_sets,
+    charts_of,
+    orthant_fan,
+    paraboloid_cone,
+    random_complete_fan_rank2,
+    random_complete_or_affine_fan,
+    random_pointed_cone,
+    random_tight_diagram,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -449,6 +460,57 @@ def test_extend_from_no_members_starts_at_the_origin(mode, expected):
     _check_extension(sub, {}, mode, phi)
 
 
+def _two_quadrants_on_one_ray() -> TightDiagram:
+    """Quadrants P and Q glued along the ray s, which maps onto the (1,0) ray
+    of both; r onto that ray of P only and t of Q only, u and v onto their
+    (0,1) rays."""
+    ray = cone_from_rays(1, [(1,)])
+    objects = {"0": cone_from_rays(0, []), "P": QUADRANT, "Q": QUADRANT, "r": ray, "s": ray, "t": ray,
+               "u": ray, "v": ray}
+    e1, e2 = IntMatrix.from_cols([(1, 0)]), IntMatrix.from_cols([(0, 1)])
+    edges = [DiagramMorphism("0", i, IntMatrix.zeros(objects[i].ambient_rank, 0)) for i in objects if i != "0"]
+    edges += [DiagramMorphism(x, y, m) for x, y, m in
+              [("s", "P", e1), ("s", "Q", e1), ("r", "P", e1), ("t", "Q", e1), ("u", "P", e2), ("v", "Q", e2)]]
+    return TightDiagram(objects, edges)
+
+
+@pytest.mark.parametrize("mode", ["arbitrary", "nonneg_positive_away"])
+def test_members_that_disagree_on_an_outside_face_they_share_do_not_descend(mode):
+    # every composite between members agrees, but P and Q give the ray s,
+    # which no member lies above alone, the values 1 and 2: only the
+    # colimit's relation along s sees that
+    d = _two_quadrants_on_one_ray()
+    assert validate_tight(d) == ()
+    sub = Subdiagram(d, frozenset(d.objects) - {"s"})
+    assert is_join_closed(sub) == (True, None)
+    chi = {"0": (), "P": (1, 0), "Q": (2, 0), "r": (1,), "t": (2,), "u": (0,), "v": (0,)}
+    with pytest.raises(IncompatibleFamily, match="^family does not descend to the colimit$"):
+        extend_diagram_functional(sub, chi, mode)
+    agreeing = {**chi, "Q": (1, 0), "t": (1,)}
+    _check_extension(sub, agreeing, mode, extend_diagram_functional(sub, agreeing, mode))
+
+
+def test_an_extension_that_starts_negative_is_an_internal_error(monkeypatch):
+    # in positive mode every value the induction sets is >= 0 on its object's
+    # rays, so only a bug can hand extend_functional a negative start
+    def negative(morphism, psi, mode):
+        raise NegativeOnFace("negative on source ray (1,)")
+
+    monkeypatch.setattr(diagram_module, "extend_functional", negative)
+    sub = Subdiagram(face_diagram(QUADRANT), frozenset({ZERO, E1_RAY}))
+    with pytest.raises(InternalError, match=f"^extension of {FULL!r} from {E1_RAY!r}: negative on source ray"):
+        extend_diagram_functional(sub, {ZERO: (0, 0), E1_RAY: (1, 0)})
+
+
+def test_a_descended_functional_that_misses_a_member_is_an_internal_error(monkeypatch):
+    # every value the induction sets restricts to the values below it, so the
+    # functional descended from the maximal objects restricts to each member
+    monkeypatch.setattr(DiagramAnalysis, "descend", lambda self, restrictions, rows: IntMatrix(1, 2, ((5, 5),)))
+    sub = Subdiagram(face_diagram(QUADRANT), frozenset({ZERO, E1_RAY}))
+    with pytest.raises(InternalError, match=f"^the descended functional does not restrict to member {E1_RAY!r}$"):
+        extend_diagram_functional(sub, {ZERO: (0, 0), E1_RAY: (1, 0)})
+
+
 @pytest.mark.xfail(strict=True, raises=InternalError,
                    reason="the last chart's processed faces have no top, so the induction has no face to extend from")
 @pytest.mark.parametrize("mode", ["arbitrary", "nonneg_positive_away"])
@@ -557,6 +619,29 @@ def test_coproducts_of_face_diagrams_verify(vecs_a, vecs_b):
 
 # random_tight_diagram rejection-samples, so Hypothesis draws its seed only
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@pytest.mark.parametrize("rays", [P2_RAYS, P1XP1_RAYS], ids=["P2", "P1xP1"])
+def test_a_chart_colimit_is_the_full_coequalizer(rays):
+    # the charts meet along rays, so the colimit's relation columns are not empty
+    d = chart_diagram(rays)
+    maximal = d.analysis.maximal_ids
+    assert any(gp(d.objects[d.analysis.meet(a, b)]).cols for a in maximal for b in maximal if a < b)
+    assert colimit_against_coequalizer(d, colimit(d)) == (True, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_the_colimit_of_a_random_tight_diagram_is_the_full_coequalizer(seed):
+    d = random_tight_diagram(random.Random(seed))
+    assert colimit_against_coequalizer(d, colimit(d)) == (True, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.sampled_from([random_complete_fan_rank2, random_complete_or_affine_fan, orthant_fan]))
+def test_the_colimit_of_the_charts_of_a_fan_is_the_full_coequalizer(seed, fan_of):
+    d = charts_of(fan_of(random.Random(seed))).diagram
+    assert colimit_against_coequalizer(d, colimit(d)) == (True, True)
 
 
 def _thinned(rng, d: TightDiagram, scramble: bool = False) -> TightDiagram:

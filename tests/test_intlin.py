@@ -474,7 +474,7 @@ def rows_with_units(draw):
 @settings(max_examples=300, deadline=None)
 @given(rows_with_units())
 def test_pivot_search_matches_a_full_scan(drawn):
-    # the search stops at the first unit; a scan of every entry picks the same one
+    # the row-major search and a scan of every entry pick the same one
     rows, t = drawn
     assert _find_pivot(rows, t, len(rows), len(rows[0])) == smallest_pivot(rows, t)
 
